@@ -12,9 +12,10 @@ process pool cannot beat serial execution on a 1-CPU box, where the
 bench still verifies the determinism contract.
 
 ``test_batched_solver_scaling`` adds the batch-size axis: a
-256-content catalog solved per content (scalar serial baseline) and
-through the batched tensor pipeline at each ``--batch-sizes`` width.
-The single-shard run (batch size = catalog size) must be at least 5x
+256-content catalog solved per content (the scalar
+``BestResponseIterator``, serial baseline) and through the epoch
+loop's batched tensor pipeline at each ``--batch-sizes`` width.  The
+single-shard run (batch size = catalog size) must be at least 5x
 faster than the per-content serial path while staying bit-identical.
 """
 
@@ -27,7 +28,8 @@ from repro.content.catalog import ContentCatalog
 from repro.content.requests import RequestProcess
 from repro.content.timeliness import TimelinessModel
 from repro.core.parameters import MFGCPConfig
-from repro.core.solver import MFGCPSolver
+from repro.core.best_response import BestResponseIterator
+from repro.core.solver import EpochResult, MFGCPSolver
 from repro.runtime import ParallelExecutor, SerialExecutor
 from conftest import run_once
 
@@ -52,7 +54,9 @@ def _run_epoch(executor):
         rng=np.random.default_rng(0),
     )
     solver = MFGCPSolver(MFGCPConfig.fast(), executor=executor)
-    return solver.run_epochs(catalog, requests, n_epochs=1)
+    # Width 1: one work item per content on both backends, so the pool
+    # parallelises the same items the serial run executes in turn.
+    return solver.run_epochs(catalog, requests, n_epochs=1, batch_size=1)
 
 
 def _epoch_fingerprint(results):
@@ -106,7 +110,7 @@ def test_runtime_scaling(benchmark):
         )
 
 
-def _run_batched_epoch(solver_batching=False, batch_size=BATCH_CONTENTS):
+def _run_batched_epoch(batch_size=BATCH_CONTENTS):
     """One epoch over a 256-content catalog (coarse per-content grids).
 
     The request rate is set so even the Zipf tail expects double-digit
@@ -126,17 +130,31 @@ def _run_batched_epoch(solver_batching=False, batch_size=BATCH_CONTENTS):
     )
     solver = MFGCPSolver(config, executor=SerialExecutor())
     return solver.run_epochs(
-        catalog,
-        requests,
-        n_epochs=1,
-        solver_batching=solver_batching,
-        batch_size=batch_size,
+        catalog, requests, n_epochs=1, batch_size=batch_size
     )
 
 
+def _scalar_solves(results):
+    """The same equilibria solved one content at a time (scalar path)."""
+    return [
+        EpochResult(
+            epoch=res.epoch,
+            active_contents=res.active_contents,
+            equilibria={
+                k: BestResponseIterator(eq.config).solve()
+                for k, eq in res.equilibria.items()
+            },
+            popularity=res.popularity,
+            timeliness=res.timeliness,
+        )
+        for res in results
+    ]
+
+
 def test_batched_solver_scaling(benchmark, batch_sizes):
+    reference = _run_batched_epoch()
     t0 = time.perf_counter()
-    scalar_results = _run_batched_epoch()
+    scalar_results = _scalar_solves(reference)
     scalar_s = time.perf_counter() - t0
     scalar_fp = _epoch_fingerprint(scalar_results)
     n_active = len(scalar_results[0].active_contents)
@@ -154,14 +172,9 @@ def test_batched_solver_scaling(benchmark, batch_sizes):
     speedups = {}
     for width in axis:
         runner = (
-            (lambda: run_once(
-                benchmark, _run_batched_epoch,
-                solver_batching=True, batch_size=width,
-            ))
+            (lambda: run_once(benchmark, _run_batched_epoch, batch_size=width))
             if width == axis[-1]
-            else (lambda: _run_batched_epoch(
-                solver_batching=True, batch_size=width,
-            ))
+            else (lambda: _run_batched_epoch(batch_size=width))
         )
         t0 = time.perf_counter()
         batched_results = runner()

@@ -10,8 +10,9 @@ Paper claims reproduced here:
 
 ``test_batched_epoch_computation_time`` extends the table with the
 solver-side axis the paper's O(K psi) remark leaves implicit: the
-K-content equilibrium solve itself, per content (scalar) vs one
-batched tensor sweep over the whole catalog.  Run as a module to
+K-content equilibrium solve itself, per content (the scalar
+``BestResponseIterator``) vs one batched tensor sweep over the whole
+catalog (the epoch loop's only path).  Run as a module to
 record that comparison as JSON for CI trending::
 
     PYTHONPATH=src python benchmarks/bench_table2_computation_time.py BENCH_batch.json
@@ -28,7 +29,8 @@ from repro.content.catalog import ContentCatalog
 from repro.content.requests import RequestProcess
 from repro.content.timeliness import TimelinessModel
 from repro.core.parameters import MFGCPConfig
-from repro.core.solver import MFGCPSolver
+from repro.core.best_response import BestResponseIterator
+from repro.core.solver import EpochResult, MFGCPSolver
 from repro.runtime import SerialExecutor
 
 try:
@@ -92,13 +94,11 @@ def _equilibria_fingerprint(results):
     return out
 
 
-def _mfgcp_epoch(solver_batching=False):
-    """One MFG-CP epoch over a ``BATCH_CATALOG``-content catalog.
+def _mfgcp_epoch():
+    """One batched MFG-CP epoch over a ``BATCH_CATALOG``-content catalog.
 
-    Inputs are rebuilt per call so the scalar and batched runs consume
-    identical catalogs and request traces; returns ``(results, secs)``.
     The request rate keeps the whole catalog in the active set so the
-    comparison covers every content.
+    comparison covers every content; returns ``(results, secs)``.
     """
     rng = np.random.default_rng(0)
     catalog = ContentCatalog.from_sizes(rng.uniform(50.0, 150.0, BATCH_CATALOG))
@@ -114,19 +114,34 @@ def _mfgcp_epoch(solver_batching=False):
     solver = MFGCPSolver(config, executor=SerialExecutor())
     t0 = time.perf_counter()
     results = solver.run_epochs(
-        catalog,
-        requests,
-        n_epochs=1,
-        solver_batching=solver_batching,
-        batch_size=BATCH_CATALOG,
+        catalog, requests, n_epochs=1, batch_size=BATCH_CATALOG
     )
     return results, time.perf_counter() - t0
 
 
+def _scalar_solves(results):
+    """The same equilibria solved one content at a time (scalar path)."""
+    t0 = time.perf_counter()
+    scalar = [
+        EpochResult(
+            epoch=res.epoch,
+            active_contents=res.active_contents,
+            equilibria={
+                k: BestResponseIterator(eq.config).solve()
+                for k, eq in res.equilibria.items()
+            },
+            popularity=res.popularity,
+            timeliness=res.timeliness,
+        )
+        for res in results
+    ]
+    return scalar, time.perf_counter() - t0
+
+
 def measure_batched():
     """Scalar vs batched epoch wall-clock, with the bit-identity check."""
-    scalar_results, scalar_s = _mfgcp_epoch()
-    batched_results, batched_s = _mfgcp_epoch(solver_batching=True)
+    batched_results, batched_s = _mfgcp_epoch()
+    scalar_results, scalar_s = _scalar_solves(batched_results)
 
     scalar_fp = _equilibria_fingerprint(scalar_results)
     batched_fp = _equilibria_fingerprint(batched_results)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.core.parameters import MFGCPConfig
 from repro.runtime import ExecutionPlan, ExecutorLike, as_executor
@@ -57,6 +56,10 @@ def summarise(
         )
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    # Imported here: scipy.stats is slow to import and nothing else
+    # on the CLI's import path needs it.
+    from scipy import stats
+
     mean = float(values.mean())
     std = float(values.std(ddof=1))
     sem = std / np.sqrt(values.size)

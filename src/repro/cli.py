@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "before giving up (exit 1)")
         p.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help="debug: activate the deterministic fault harness "
-                            "(e.g. 'raise:item=2' or 'kill:label=content:*'; "
+                            "(e.g. 'raise:item=2' or 'kill:label=batch:*'; "
                             "see repro.testing.faults)")
 
     def add_stream_args(p: argparse.ArgumentParser, zipf_alpha: bool = True) -> None:
@@ -330,13 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "never affects results)")
     p_serve.add_argument("--out", default=None,
                          help="directory for CSV/JSON export of the reports")
-    p_serve.add_argument("--solver-batching", action="store_true",
-                         help="solve the mfg policy's equilibria through the "
-                              "batched tensor pipeline (one work item per "
-                              "content shard; bit-identical results)")
     p_serve.add_argument("--batch-size", type=int, default=32, metavar="B",
-                         help="max contents per batched shard "
-                              "(with --solver-batching; default 32)")
+                         help="max contents per batched equilibrium-solve "
+                              "shard of the mfg policy (default 32; "
+                              "bit-identical results for every width)")
     add_stream_args(p_serve)
     add_telemetry_arg(p_serve)
     add_runtime_args(p_serve)
@@ -387,12 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "each strategy")
     p_net.add_argument("--out", default=None,
                        help="directory for CSV/JSON export of the reports")
-    p_net.add_argument("--solver-batching", action="store_true",
-                       help="solve the mfg strategy's equilibria through the "
-                            "batched tensor pipeline (bit-identical results)")
     p_net.add_argument("--batch-size", type=int, default=32, metavar="B",
-                       help="max contents per batched shard "
-                            "(with --solver-batching; default 32)")
+                       help="max contents per batched equilibrium-solve "
+                            "shard of the mfg strategy (default 32; "
+                            "bit-identical results for every width)")
     add_stream_args(p_net, zipf_alpha=False)
     add_telemetry_arg(p_net)
     add_runtime_args(p_net)
@@ -1304,12 +1299,30 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_non_positive(args: argparse.Namespace, *flags: str) -> bool:
+    """Print one ``error:`` line and return True if a count flag is < 1.
+
+    Zero EDPs, slots or contents would otherwise surface deep in the
+    engines as a division by zero or an uncaught error.
+    """
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value < 1:
+            print(f"error: {flag} must be positive, got {value}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the serve stack is only needed by this command.
     from repro.content import workloads
     from repro.serve import POLICY_NAMES, ServingEngine, REPORT_HEADERS
     from repro.serve.report import comparison_rows, export_serving_reports
 
+    if _reject_non_positive(args, "--edps", "--slots", "--contents",
+                            "--batch-size"):
+        return 2
     spec = args.policy.strip().lower()
     names = list(POLICY_NAMES) if spec == "all" else [
         s.strip() for s in spec.split(",") if s.strip()
@@ -1382,7 +1395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shards=args.shards,
             executor=executor,
             telemetry=telemetry,
-            solver_batching=args.solver_batching,
             batch_size=args.batch_size,
             **mode_kwargs,
         )
@@ -1426,6 +1438,9 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         parse_topology,
     )
 
+    if _reject_non_positive(args, "--slots", "--contents", "--replicas",
+                            "--batch-size"):
+        return 2
     spec = args.strategy.strip().lower()
     names = list(STRATEGY_NAMES) if spec == "all" else [
         s.strip() for s in spec.split(",") if s.strip()
@@ -1487,7 +1502,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             queue_service_rate=args.queue_rate,
             executor=executor,
             telemetry=telemetry,
-            solver_batching=args.solver_batching,
             batch_size=args.batch_size,
             **mode_kwargs,
         )

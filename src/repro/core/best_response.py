@@ -27,6 +27,7 @@ from repro.core.mean_field import MeanFieldEstimator
 from repro.core.parameters import MFGCPConfig
 from repro.core.policy import CachingPolicy
 from repro.obs.diagnostics import (
+    MAX_RESIDUAL_SAMPLES,
     IterationContext,
     SolveDiagnostics,
     SolveEndContext,
@@ -207,6 +208,11 @@ class BestResponseIterator:
                         solution=solution,
                         mean_field=mean_field,
                         policy_change=policy_change,
+                        hjb_residual=self.hjb.residual_norm(
+                            solution.value,
+                            mean_field,
+                            max_samples=MAX_RESIDUAL_SAMPLES,
+                        ),
                     )
                 )
             if policy_change < cfg.tolerance:
@@ -365,8 +371,17 @@ class BatchedBestResponseIterator:
         cfg0 = self.configs[0]
         n_lanes = grid.n_lanes
 
+        # Every per-lane path lives in one of four (B, n_t + 1, n_h,
+        # n_q) buffers allocated once per solve.  Lanes still iterating
+        # occupy the leading rows (``order[j]`` is the lane held in row
+        # ``j``), so each sweep reads and writes plain slices; a lane
+        # that converges swaps behind them and is never touched again.
+        order = np.arange(n_lanes)
         density0 = batched_initial_density(grid, self.configs)
         policy = np.full(grid.path_shape, float(initial_policy_level))
+        value_paths = np.empty(grid.path_shape)
+        density_paths = np.empty(grid.path_shape)
+        new_tables = np.empty(grid.path_shape)
 
         lane_teles = [_LaneTelemetry(tele, k) for k in self.content_ids]
         diagnostics = (
@@ -396,7 +411,7 @@ class BatchedBestResponseIterator:
                     )
                 )
         with tele.span("bootstrap"):
-            density_paths = self.fpk.solve(policy, density0)
+            self.fpk.solve(policy, density0, out=density_paths)
             mean_fields = [
                 est.estimate(density_paths[b], policy[b])
                 for b, est in enumerate(self.estimators)
@@ -405,40 +420,50 @@ class BatchedBestResponseIterator:
         histories: List[List[IterationRecord]] = [[] for _ in range(n_lanes)]
         converged = np.zeros(n_lanes, dtype=bool)
         policy_changes = np.full(n_lanes, np.inf)
-        value_paths = np.empty(grid.path_shape)
-        active = np.arange(n_lanes)
+        n = n_lanes  # active rows
 
         for iteration in range(1, cfg0.max_iterations + 1):
-            if active.size == 0:
+            if n == 0:
                 break
+            lanes = order[:n]
             with tele.span("iteration"):
                 with tele.span("hjb") as sp_hjb:
-                    v_path, new_tables = self.hjb.solve(
-                        [mean_fields[b] for b in active], lanes=active
+                    self.hjb.solve(
+                        [mean_fields[b] for b in lanes],
+                        lanes=lanes,
+                        out=(value_paths[:n], new_tables[:n]),
                     )
-                value_paths[active] = v_path
-                pc = np.max(np.abs(new_tables - policy[active]), axis=(1, 2, 3))
-                policy_changes[active] = pc
+                # The active density rows are spent (their mean fields
+                # are estimated) until the FPK below refills them, so
+                # they hold the policy change and the damping term.
+                scratch = density_paths[:n]
+                np.subtract(new_tables[:n], policy[:n], out=scratch)
+                np.abs(scratch, out=scratch)
+                pc = scratch.max(axis=(1, 2, 3))
+                policy_changes[lanes] = pc
 
-                policy[active] = (
-                    (1.0 - cfg0.damping) * policy[active]
-                    + cfg0.damping * new_tables
-                )
+                # Damped best-response update (1 - beta) x + beta x_new.
+                policy[:n] *= 1.0 - cfg0.damping
+                np.multiply(new_tables[:n], cfg0.damping, out=scratch)
+                policy[:n] += scratch
                 with tele.span("fpk") as sp_fpk:
-                    d_paths = self.fpk.solve(
-                        policy[active], density0[active], lanes=active
+                    self.fpk.solve(
+                        policy[:n], density0[:n], lanes=lanes,
+                        out=density_paths[:n],
                     )
-                density_paths[active] = d_paths
                 with tele.span("mean_field") as sp_mf:
-                    mf_changes = np.empty(active.size)
-                    for j, b in enumerate(active):
+                    mf_changes = np.empty(n)
+                    for j, b in enumerate(lanes):
                         new_mf = self.estimators[b].estimate(
-                            d_paths[j], policy[b]
+                            density_paths[j], policy[j]
                         )
                         mf_changes[j] = mean_fields[b].distance(new_mf)
                         mean_fields[b] = new_mf
 
-            for j, b in enumerate(active):
+            # Per-lane records go out in ascending content order.
+            rows = np.argsort(lanes)
+            for j in rows:
+                b = lanes[j]
                 histories[b].append(
                     IterationRecord(
                         iteration=iteration,
@@ -455,7 +480,7 @@ class BatchedBestResponseIterator:
                 tele.event(
                     "iteration",
                     iteration=iteration,
-                    n_active=int(active.size),
+                    n_active=int(n),
                     policy_change=float(pc.max()),
                     mean_field_change=float(mf_changes.max()),
                     hjb_s=sp_hjb.duration,
@@ -463,11 +488,18 @@ class BatchedBestResponseIterator:
                     mean_field_s=sp_mf.duration,
                 )
             if diagnostics is not None:
-                for j, b in enumerate(active):
+                residuals = self.hjb.residual_norms(
+                    value_paths[:n],
+                    [mean_fields[b] for b in lanes],
+                    lanes=lanes,
+                    max_samples=MAX_RESIDUAL_SAMPLES,
+                )
+                for j in rows:
+                    b = lanes[j]
                     lane_grid = self.lane_grids[b]
                     solution = HJBSolution(
                         grid=lane_grid,
-                        value=value_paths[b],
+                        value=value_paths[j],
                         policy=CachingPolicy(grid=lane_grid, table=new_tables[j]),
                     )
                     diagnostics[b].iteration(
@@ -477,19 +509,29 @@ class BatchedBestResponseIterator:
                             config=self.configs[b],
                             hjb=self.hjb.lane_solvers[b],
                             iteration=iteration,
-                            density_path=density_paths[b],
+                            density_path=density_paths[j],
                             solution=solution,
                             mean_field=mean_fields[b],
                             policy_change=float(pc[j]),
+                            hjb_residual=float(residuals[j]),
                         )
                     )
             # Convergence mask: lanes below tolerance freeze after this
             # iteration's FPK/estimator refresh — exactly where the
-            # scalar loop stops — and drop out of the batch.
-            done = pc < cfg0.tolerance
-            converged[active[done]] = True
-            active = active[~done]
+            # scalar loop stops — and swap behind the active rows.
+            done = np.flatnonzero(pc < cfg0.tolerance)
+            converged[lanes[done]] = True
+            for j in done[::-1]:
+                n -= 1
+                if j != n:
+                    for arr in (order, policy, value_paths, density_paths, density0):
+                        arr[[j, n]] = arr[[n, j]]
 
+        # Free the HJB policy buffer before CachingPolicy copies the
+        # final tables, so the copies never coexist with it.
+        del new_tables
+        row_of = np.empty(n_lanes, dtype=int)
+        row_of[order] = np.arange(n_lanes)
         results: List[EquilibriumResult] = []
         for b in range(n_lanes):
             report = ConvergenceReport(
@@ -506,13 +548,14 @@ class BatchedBestResponseIterator:
                         report=report,
                     )
                 )
+            row = row_of[b]
             results.append(
                 EquilibriumResult(
                     config=self.configs[b],
                     grid=self.lane_grids[b],
-                    value=value_paths[b],
-                    policy=CachingPolicy(grid=self.lane_grids[b], table=policy[b]),
-                    density=density_paths[b],
+                    value=value_paths[row],
+                    policy=CachingPolicy(grid=self.lane_grids[b], table=policy[row]),
+                    density=density_paths[row],
                     mean_field=mean_fields[b],
                     report=report,
                 )

@@ -19,9 +19,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid, StateGrid, check_out_buffer
 from repro.core.operators import (
     batched_conservative_advection,
     batched_conservative_diffusion,
@@ -30,6 +29,16 @@ from repro.core.operators import (
     stable_time_step,
 )
 from repro.core.parameters import MFGCPConfig
+
+
+def normal_pdf(x: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """The normal density, bit-identical to ``scipy.stats.norm.pdf``.
+
+    Written out in numpy (same operation order as scipy's) so that
+    importing the solver never pulls in ``scipy.stats``.
+    """
+    z = (np.asarray(x, dtype=float) - loc) / scale
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / scale
 
 
 def initial_density(
@@ -57,8 +66,8 @@ def initial_density(
         h_density = np.zeros(grid.n_h)
         h_density[grid.locate(ou_mean, 0.0)[0]] = 1.0
     else:
-        h_density = norm.pdf(grid.h, loc=ou_mean, scale=ou_std)
-    q_density = norm.pdf(grid.q, loc=mean_q, scale=std_q)
+        h_density = normal_pdf(grid.h, loc=ou_mean, scale=ou_std)
+    q_density = normal_pdf(grid.q, loc=mean_q, scale=std_q)
     density = np.outer(h_density, q_density)
     return grid.normalize(density)
 
@@ -271,6 +280,7 @@ class BatchedFPKSolver:
         policy_tables: np.ndarray,
         density0: Optional[np.ndarray] = None,
         lanes: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Forward sweep advancing every requested lane simultaneously.
 
@@ -283,11 +293,15 @@ class BatchedFPKSolver:
             per-lane :func:`initial_density`.
         lanes:
             Lane indices into the batch (default: all).
+        out:
+            Optional buffer of shape ``(b, n_t + 1, n_h, n_q)`` to
+            write the density paths into instead of a new array.
 
         Returns
         -------
         numpy.ndarray
-            Density paths, shape ``(b, n_t + 1, n_h, n_q)``.
+            Density paths, shape ``(b, n_t + 1, n_h, n_q)`` (``out``
+            when given).
         """
         grid = self.grid
         lanes = (
@@ -318,7 +332,11 @@ class BatchedFPKSolver:
         max_sub = int(n_sub.max())
         dt_col = (grid.dt / n_sub)[:, None, None]
         uniform = bool(np.all(n_sub == n_sub[0]))
-        path = np.empty((b, grid.n_t + 1, grid.n_h, grid.n_q))
+        if out is None:
+            path = np.empty(expected)
+        else:
+            check_out_buffer(out, expected)
+            path = out
         path[:, 0] = density
         for ti in range(grid.n_t):
             drift_q = self._drift_q(policy_tables[:, ti], lanes)

@@ -219,6 +219,14 @@ class StateGrid:
         return ih, iq, float(fh - ih), float(fq - iq)
 
 
+def check_out_buffer(buffer: np.ndarray, shape: Tuple[int, ...]) -> None:
+    """Reject an ``out=`` path buffer a batched sweep cannot write into."""
+    if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64:
+        raise TypeError("out buffers must be float64 numpy arrays")
+    if buffer.shape != shape:
+        raise ValueError(f"out buffer shape {buffer.shape} != batch {shape}")
+
+
 @dataclass(frozen=True)
 class BatchGrid:
     """A stack of per-content :class:`StateGrid` lanes.

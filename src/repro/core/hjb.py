@@ -41,7 +41,7 @@ import numpy as np
 
 from scipy.special import expit
 
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid, StateGrid, check_out_buffer
 from repro.core.mean_field import MeanFieldPath
 from repro.core.operators import (
     batched_second_derivative,
@@ -82,6 +82,14 @@ class HJBSolution:
         """``V(0, h, q)`` — the accumulated optimal utility from state."""
         ih, iq = self.grid.locate(h, q)
         return float(self.value[0, ih, iq])
+
+
+def _residual_sample_times(n_intervals: int, max_samples: int) -> np.ndarray:
+    """Up to ``max_samples`` evenly spaced reporting intervals."""
+    n_samples = max(1, min(int(max_samples), n_intervals))
+    return np.unique(
+        np.linspace(0, n_intervals - 1, n_samples).round().astype(int)
+    )
 
 
 class HJBSolver:
@@ -228,13 +236,8 @@ class HJBSolver:
             raise ValueError(
                 f"value path shape {value_path.shape} != grid {grid.path_shape}"
             )
-        n_int = grid.n_t
-        n_samples = max(1, min(int(max_samples), n_int))
-        indices = np.unique(
-            np.linspace(0, n_int - 1, n_samples).round().astype(int)
-        )
         worst = 0.0
-        for ti in indices:
+        for ti in _residual_sample_times(grid.n_t, max_samples):
             ctx = mean_field.context(int(ti))
             rhs, _ = self._step_rhs(value_path[ti + 1], ctx)
             residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
@@ -496,11 +499,59 @@ class BatchedHJBSolver:
             benefit_col,
         )
 
+    def _lanes(self, lanes: Optional[np.ndarray], n_inputs: int) -> np.ndarray:
+        """Requested lane indices (default all), one per mean field."""
+        grid = self.grid
+        lanes = (
+            np.arange(grid.n_lanes) if lanes is None else np.asarray(lanes, int)
+        )
+        if n_inputs != lanes.size:
+            raise ValueError(f"{n_inputs} mean fields for {lanes.size} lanes")
+        return lanes
+
+    def residual_norms(
+        self,
+        value_paths: np.ndarray,
+        mean_fields: Sequence[MeanFieldPath],
+        lanes: Optional[np.ndarray] = None,
+        max_samples: int = 8,
+    ) -> np.ndarray:
+        """:meth:`HJBSolver.residual_norm` for every requested lane at once.
+
+        One batched operator evaluation per sampled reporting time
+        covers all lanes; lane ``j`` of the result is bit-identical to
+        the scalar solver's residual of ``value_paths[j]``.
+        """
+        grid = self.grid
+        lanes = self._lanes(lanes, len(mean_fields))
+        value_paths = np.asarray(value_paths, dtype=float)
+        expected = (lanes.size, grid.n_t + 1, grid.n_h, grid.n_q)
+        if value_paths.shape != expected:
+            raise ValueError(
+                f"value paths shape {value_paths.shape} != batch {expected}"
+            )
+        dq_col = grid.dq[lanes][:, None, None]
+        q_mesh = grid.q_mesh()[lanes]
+        worst = np.zeros(lanes.size)
+        for ti in _residual_sample_times(grid.n_t, max_samples):
+            utility0 = self._utility0(mean_fields, lanes, ti, q_mesh)
+            rhs, _ = self._step_rhs(value_paths[:, ti + 1], utility0, lanes, dq_col)
+            residual = (value_paths[:, ti] - value_paths[:, ti + 1]) / grid.dt - rhs
+            scale = 1.0 + np.max(np.abs(rhs), axis=(1, 2))
+            ratio = np.max(np.abs(residual), axis=(1, 2)) / scale
+            # The scalar probe's builtin ``max``: only a strictly larger
+            # ratio replaces the running worst (a NaN ratio never does).
+            worst = np.where(ratio > worst, ratio, worst)
+        # The scalar probe stops at the first non-finite worst as NaN.
+        worst[~np.isfinite(worst)] = np.nan
+        return worst
+
     def solve(
         self,
         mean_fields: Sequence[MeanFieldPath],
         lanes: Optional[np.ndarray] = None,
         terminal_value: Optional[np.ndarray] = None,
+        out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Backward sweep advancing every requested lane simultaneously.
 
@@ -516,20 +567,19 @@ class BatchedHJBSolver:
         terminal_value:
             ``V(T)`` per lane, shape ``(b, n_h, n_q)``; defaults to
             zero.
+        out:
+            Optional ``(value_path, policy_path)`` buffers of shape
+            ``(b, n_t + 1, n_h, n_q)`` to write the sweep into instead
+            of allocating new arrays.
 
         Returns
         -------
         (value_path, policy_path):
-            Arrays of shape ``(b, n_t + 1, n_h, n_q)``.
+            Arrays of shape ``(b, n_t + 1, n_h, n_q)`` (``out`` when
+            given).
         """
         grid = self.grid
-        lanes = (
-            np.arange(grid.n_lanes) if lanes is None else np.asarray(lanes, int)
-        )
-        if len(mean_fields) != lanes.size:
-            raise ValueError(
-                f"{len(mean_fields)} mean fields for {lanes.size} lanes"
-            )
+        lanes = self._lanes(lanes, len(mean_fields))
         b = lanes.size
         shape = (b, grid.n_h, grid.n_q)
         if terminal_value is None:
@@ -543,8 +593,13 @@ class BatchedHJBSolver:
 
         dq_col = grid.dq[lanes][:, None, None]
         q_mesh = grid.q_mesh()[lanes]
-        value_path = np.empty((b, grid.n_t + 1, grid.n_h, grid.n_q))
-        policy_path = np.empty_like(value_path)
+        if out is None:
+            value_path = np.empty((b, grid.n_t + 1, grid.n_h, grid.n_q))
+            policy_path = np.empty_like(value_path)
+        else:
+            value_path, policy_path = out
+            check_out_buffer(value_path, (b, grid.n_t + 1, grid.n_h, grid.n_q))
+            check_out_buffer(policy_path, value_path.shape)
         value_path[:, grid.n_t] = value
         policy_path[:, grid.n_t] = self.control_from_value(value, lanes, dq_col)
 

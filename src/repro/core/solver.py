@@ -33,19 +33,6 @@ from repro.runtime import (
 )
 
 
-def _solve_content_item(
-    config: MFGCPConfig, telemetry: SolverTelemetry = NULL_TELEMETRY
-) -> EquilibriumResult:
-    """Work-item body for one per-content equilibrium solve.
-
-    Module-level so it pickles to process-pool workers; the item owns
-    its specialised config and rebuilds the iterator locally (bound
-    methods holding live trackers do not cross process boundaries).
-    """
-    with telemetry.span("content"):
-        return BestResponseIterator(config, telemetry=telemetry).solve()
-
-
 def _solve_content_batch_item(
     content_ids: Sequence[int],
     configs: Sequence[MFGCPConfig],
@@ -53,13 +40,12 @@ def _solve_content_batch_item(
 ) -> List[EquilibriumResult]:
     """Work-item body for one batched shard of content solves.
 
+    Module-level so it pickles to process-pool workers.
     ``content_ids`` is the shard's *sorted* content-index tuple and the
     item's first positional argument, so the checkpoint
-    :func:`~repro.runtime.checkpoint.item_key` hashes it — a batched
-    run's items can never collide with a per-content run's (whose first
-    argument is a config, not an index tuple) nor with a differently
-    sharded batched run.  Returns one equilibrium per content, in
-    ``content_ids`` order.
+    :func:`~repro.runtime.checkpoint.item_key` hashes it — items of a
+    differently sharded run never collide.  Returns one equilibrium
+    per content, in ``content_ids`` order.
     """
     with telemetry.span("content"):
         return BatchedBestResponseIterator(
@@ -138,9 +124,9 @@ class MFGCPSolver:
     Parameters
     ----------
     executor:
-        Backend for the per-content fan-out of :meth:`run_epochs`
-        (the solves decouple through the mean field, so they run
-        embarrassingly parallel).  Accepts an
+        Backend for the batched per-content fan-out of
+        :meth:`run_epochs` (the solves decouple through the mean
+        field, so shards run embarrassingly parallel).  Accepts an
         :class:`~repro.runtime.Executor`, a spec string such as
         ``"process:4"``, or ``None`` for the serial default.  Results
         are bit-identical across backends.
@@ -197,38 +183,36 @@ class MFGCPSolver:
         popularity_tracker: Optional[PopularityTracker] = None,
         timeliness_tracker: Optional[TimelinessTracker] = None,
         max_active_contents: Optional[int] = None,
-        solver_batching: bool = False,
         batch_size: int = 32,
     ) -> List[EpochResult]:
         """Algorithm 1: epoch loop over the content catalog.
 
         Each epoch records one batch of requests per content (lines
         4-5), refreshes popularity and timeliness (line 8), and solves
-        the per-content equilibrium (line 9).  Contents with no
+        the per-content equilibria (line 9).  Contents with no
         requests are skipped, matching the ``K'`` selection rule.
+
+        The epoch's contents are solved through the batched tensor
+        pipeline: the active set shards into index groups, and each
+        shard is one work item advancing all its lanes through shared
+        ``(B, n_h, n_q)`` HJB/FPK sweeps.  Every lane is bit-identical
+        to a scalar :class:`BestResponseIterator` solve of that
+        content, whatever the shard width.
 
         Parameters
         ----------
         max_active_contents:
             Optional cap on ``|K'|`` (most popular first) — the paper
             notes the Zipf law keeps the effective content set small.
-        solver_batching:
-            Solve the epoch's contents through the batched tensor
-            pipeline: the active set shards into index groups of at
-            most ``batch_size`` contents, and each shard is one work
-            item advancing all its lanes through shared
-            ``(B, n_h, n_q)`` HJB/FPK sweeps.  Equilibria are
-            bit-identical to the per-content path; only the work-item
-            grain (and hence the telemetry lane labels and checkpoint
-            item keys) changes.
         batch_size:
-            Maximum lane count per batched shard — bounds the
-            ``B * n_h * n_q`` working set.  Ignored unless
-            ``solver_batching`` is set.
+            Maximum lane count per shard — bounds the
+            ``B * n_h * n_q`` working set.  With an ``N``-worker
+            executor the width narrows to ``ceil(|K'| / N)`` so every
+            worker gets a shard.
         """
         if n_epochs < 1:
             raise ValueError(f"n_epochs must be positive, got {n_epochs}")
-        if solver_batching and batch_size <= 0:
+        if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if max_active_contents is not None and max_active_contents < 1:
             raise ValueError(
@@ -270,13 +254,9 @@ class MFGCPSolver:
 
                 # Lines 6-10: per-content mean-field best response.
                 # The equilibria decouple through the mean field, so
-                # the solves fan out as one execution plan; the
-                # configured backend (serial or process pool) returns
-                # outcomes in content order either way.  With
-                # ``solver_batching`` each work item is one shard of
-                # contents solved through shared batched sweeps; the
-                # seed lineage and ordered telemetry merge are
-                # unchanged, only the item grain widens.
+                # the contents advance as lanes of batched sweeps, one
+                # shard per work item; the configured backend (serial
+                # or process pool) returns outcomes in shard order.
                 configs = {
                     k: self.per_content_config(
                         content_size=catalog[k].size_mb,
@@ -286,33 +266,21 @@ class MFGCPSolver:
                     )
                     for k in active
                 }
-                if solver_batching:
-                    # Shard content *ids* sorted ascending so the item
-                    # key hashes a canonical tuple (checkpoint resume
-                    # is insensitive to the popularity ordering).
-                    shards = [
-                        tuple(sorted(active[i] for i in group))
-                        for group in partition_batches(len(active), batch_size)
-                    ]
-                    plan = ExecutionPlan.map(
-                        _solve_content_batch_item,
-                        [
-                            (shard, tuple(configs[k] for k in shard))
-                            for shard in shards
-                        ],
-                        labels=[
-                            f"batch:{shard[0]}-{shard[-1]}" for shard in shards
-                        ],
-                        accepts_telemetry=True,
+                # Shard content *ids* sorted ascending so the item key
+                # hashes a canonical tuple (checkpoint resume is
+                # insensitive to the popularity ordering).
+                shards = [
+                    tuple(sorted(active[i] for i in group))
+                    for group in partition_batches(
+                        len(active), batch_size, self.executor.workers
                     )
-                else:
-                    shards = [(k,) for k in active]
-                    plan = ExecutionPlan.map(
-                        _solve_content_item,
-                        [(configs[k],) for k in active],
-                        labels=[f"content:{k}" for k in active],
-                        accepts_telemetry=True,
-                    )
+                ]
+                plan = ExecutionPlan.map(
+                    _solve_content_batch_item,
+                    [(shard, tuple(configs[k] for k in shard)) for shard in shards],
+                    labels=[f"batch:{shard[0]}-{shard[-1]}" for shard in shards],
+                    accepts_telemetry=True,
+                )
                 if tele.live is not None:
                     tele.live.set_phase(
                         f"epoch:{epoch}", total_items=len(plan)
@@ -332,19 +300,16 @@ class MFGCPSolver:
                     if outcome.result is None:
                         # A skip/degrade fault policy exhausted this
                         # item's retries; the epoch carries on with
-                        # the survivors (graceful degradation).  A
-                        # batched item drops its whole shard.
+                        # the survivors (graceful degradation); the
+                        # whole shard is dropped.
                         dropped.extend(int(k) for k in shard)
                         continue
-                    shard_results = (
-                        outcome.result if solver_batching else [outcome.result]
-                    )
                     solve_s = (
                         outcome.telemetry.span_seconds("content")
                         if outcome.telemetry is not None
                         else 0.0
                     )
-                    for k, result in zip(shard, shard_results):
+                    for k, result in zip(shard, outcome.result):
                         equilibria[k] = result
                         if not result.report.converged:
                             unconverged.append(int(k))

@@ -84,6 +84,11 @@ class IterationContext:
     solution: "HJBSolution"
     mean_field: "MeanFieldPath"
     policy_change: float
+    #: :meth:`~repro.core.hjb.HJBSolver.residual_norm` of the settled
+    #: value path against ``mean_field`` at up to
+    #: :data:`MAX_RESIDUAL_SAMPLES` times, filled in by the iterator
+    #: (the batched one evaluates every lane in one pass).
+    hjb_residual: float
 
 
 @dataclass
@@ -211,7 +216,8 @@ class DensityHealthProbe(_BaseProbe):
 class HJBResidualProbe(_BaseProbe):
     """Discrete HJB residual of the settled backward sweep.
 
-    Evaluates ``(V[t] − V[t+1])/Δt − L(V[t+1]; m(t))`` — how far the
+    Reports :attr:`IterationContext.hjb_residual`, which the iterator
+    computes as ``(V[t] − V[t+1])/Δt − L(V[t+1]; m(t))`` — how far the
     stored value path is from satisfying its own one-step explicit
     update — at ≤ :data:`MAX_RESIDUAL_SAMPLES` evenly-spaced reporting
     times, normalised by the operator magnitude so the number is
@@ -225,9 +231,7 @@ class HJBResidualProbe(_BaseProbe):
         self.warn_at = float(warn_at)
 
     def on_iteration(self, ctx: IterationContext) -> None:
-        residual = ctx.hjb.residual_norm(
-            ctx.solution.value, ctx.mean_field, max_samples=MAX_RESIDUAL_SAMPLES
-        )
+        residual = ctx.hjb_residual
         if not np.isfinite(residual):
             severity = "error"
         elif residual > self.warn_at:

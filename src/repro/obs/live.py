@@ -21,7 +21,7 @@ wholesale; the serial-vs-parallel bit-identity contract is unchanged
 with live status enabled.
 
 Heartbeats are keyed by work-item *lane labels* from the execution
-plan (``content:3``, ``serve:lru:shard2``), not OS worker ids — the
+plan (``batch:0-3``, ``serve:lru:shard2``), not OS worker ids — the
 same philosophy as the Chrome-trace exporter's swimlanes: lanes derive
 from the plan, so the status file's worker table is meaningful for
 serial and process backends alike.

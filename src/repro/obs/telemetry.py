@@ -350,7 +350,7 @@ class SolverTelemetry:
         backends.
 
         ``lane`` tags every re-emitted event with the originating work
-        item's label (e.g. ``content:3``).  The Chrome trace exporter
+        item's label (e.g. ``batch:0-3``).  The Chrome trace exporter
         uses lanes as thread rows, so a Perfetto view of a ``process:4``
         run shows per-work-item swimlanes.  Because lanes derive from
         the execution *plan* — not from which OS worker happened to run

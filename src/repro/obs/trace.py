@@ -18,7 +18,7 @@ rebuilds a timeline from what the stream does guarantee:
 * each event carries its full path (``epoch/content/solve/hjb``) and
   measured duration;
 * events absorbed from runtime work items carry a ``lane`` field (the
-  work-item label, e.g. ``content:3``).
+  work-item label, e.g. ``batch:0-3``).
 
 Within a lane the exporter packs spans sequentially: a span's start is
 its first descendant's start (or the end of the previous completed

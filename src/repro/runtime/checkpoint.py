@@ -82,11 +82,12 @@ def item_key(item: WorkItem) -> str:
     Batched solver items rely on the argument payload for resume
     safety: their first positional argument is the shard's *sorted*
     content-index tuple (see
-    :func:`repro.core.solver._solve_content_batch_item`), so a batched
-    run's keys can never collide with a per-content run's (whose first
-    argument is a config object) nor with a run sharded at a different
-    ``batch_size`` — ``--resume`` across a grain change recomputes
-    rather than replaying the wrong cached result.
+    :func:`repro.core.solver._solve_content_batch_item`), so their
+    keys never collide with a run sharded at a different width, nor
+    with the per-content items (a config as first argument) of stores
+    recorded before batching was the only path — ``--resume`` across
+    a grain change recomputes rather than replaying the wrong cached
+    result.
     """
     seed = None
     if item.seed is not None:

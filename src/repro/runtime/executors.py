@@ -70,6 +70,9 @@ def live_progress(
 class Executor(abc.ABC):
     """A strategy for running every item of an execution plan."""
 
+    #: Items the backend runs at once; callers size work shards by it.
+    workers: int = 1
+
     @property
     @abc.abstractmethod
     def spec(self) -> str:

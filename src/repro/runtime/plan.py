@@ -47,7 +47,7 @@ class WorkItem:
     args, kwargs:
         Call arguments; must be picklable for process backends.
     label:
-        Human-readable tag (``"content:3"``, ``"RR:seed8"``) used in
+        Human-readable tag (``"batch:0-3"``, ``"RR:seed8"``) used in
         telemetry events and error messages.
     seed:
         Optional per-item :class:`~numpy.random.SeedSequence`; when
@@ -212,14 +212,18 @@ def partition_indices(n: int, n_groups: int) -> List[Tuple[int, ...]]:
     ]
 
 
-def partition_batches(n: int, batch_size: int) -> List[Tuple[int, ...]]:
+def partition_batches(
+    n: int, batch_size: int, min_shards: int = 1
+) -> List[Tuple[int, ...]]:
     """Contiguous index shards of at most ``batch_size`` units each.
 
     The batched-solver companion to :func:`partition_indices`: instead
     of a target group *count* the caller fixes the per-shard *width*
     (the solver's lane count ``B``, bounding the ``B * n_h * n_q``
-    working set), and the shard count follows as ``ceil(n /
-    batch_size)``.  Like :func:`partition_indices` the units are
+    working set), and the shard count follows as ``ceil(n / width)``.
+    ``min_shards`` (an executor's worker count) narrows the width to
+    ``min(batch_size, ceil(n / min_shards))`` so that many workers all
+    get a shard.  Like :func:`partition_indices` the units are
     contents, shards are contiguous, and ``n == 0`` yields an empty
     shard list.
     """
@@ -227,9 +231,12 @@ def partition_batches(n: int, batch_size: int) -> List[Tuple[int, ...]]:
         raise ValueError(f"cannot partition a negative unit count, got {n}")
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if min_shards <= 0:
+        raise ValueError(f"min_shards must be positive, got {min_shards}")
+    width = min(batch_size, -(-n // min_shards)) if n else batch_size
     return [
-        tuple(range(start, min(start + batch_size, n)))
-        for start in range(0, n, batch_size)
+        tuple(range(start, min(start + width, n)))
+        for start in range(0, n, width)
     ]
 
 

@@ -196,6 +196,10 @@ class ResumableExecutor(Executor):
     def spec(self) -> str:
         return f"resumable[{self.inner.spec}]"
 
+    @property
+    def workers(self) -> int:
+        return self.inner.workers
+
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.content.workloads import Workload
-from repro.core.best_response import BatchedBestResponseIterator, BestResponseIterator
+from repro.core.best_response import BatchedBestResponseIterator
 from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
@@ -592,13 +592,6 @@ def replay_shard(
     return results
 
 
-def _solve_content(
-    config: MFGCPConfig, telemetry: SolverTelemetry = NULL_TELEMETRY
-) -> EquilibriumResult:
-    """Solve one content's equilibrium (ExecutionPlan work item)."""
-    return BestResponseIterator(config, telemetry=telemetry).solve()
-
-
 def _solve_content_batch(
     content_ids: Sequence[int],
     configs: Sequence[MFGCPConfig],
@@ -607,7 +600,7 @@ def _solve_content_batch(
     """Solve one shard of content equilibria through the batched sweeps.
 
     ``content_ids`` (sorted) leads the argument tuple so checkpoint
-    item keys distinguish batched shards from per-content items.
+    item keys distinguish differently sharded runs.
     """
     return BatchedBestResponseIterator(
         configs, content_ids=content_ids, telemetry=telemetry
@@ -650,7 +643,6 @@ def solve_equilibrium_map(
     *,
     executor: ExecutorLike = None,
     telemetry: SolverTelemetry = NULL_TELEMETRY,
-    solver_batching: bool = False,
     batch_size: int = 32,
     label_prefix: str = "serve_eq",
     span: str = "serve_solve_equilibria",
@@ -658,42 +650,29 @@ def solve_equilibrium_map(
     """Solve per-content equilibria through the runtime (content → result).
 
     Fans the solves out as one :class:`~repro.runtime.ExecutionPlan`
-    (per-content items, or one batched item per shard of at most
-    ``batch_size`` contents when ``solver_batching`` is set); either
-    path returns bit-identical equilibria.
+    with one batched item per shard of at most ``batch_size`` contents
+    (narrower when needed to give every executor worker a shard).
+    Results are bit-identical for every shard width and backend.
     """
-    if solver_batching and batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     runner = as_executor(executor)
-    if solver_batching:
-        shards = partition_batches(len(configs), batch_size)
-        plan = ExecutionPlan.map(
-            _solve_content_batch,
-            [(shard, tuple(configs[k] for k in shard)) for shard in shards],
-            labels=[
-                f"{label_prefix}:batch{shard[0]}-{shard[-1]}"
-                for shard in shards
-            ],
-            accepts_telemetry=True,
-        )
-    else:
-        plan = ExecutionPlan.map(
-            _solve_content,
-            [(cfg,) for cfg in configs],
-            labels=[f"{label_prefix}:content{k}" for k in range(len(configs))],
-            accepts_telemetry=True,
-        )
+    shards = partition_batches(len(configs), batch_size, runner.workers)
+    plan = ExecutionPlan.map(
+        _solve_content_batch,
+        [(shard, tuple(configs[k] for k in shard)) for shard in shards],
+        labels=[
+            f"{label_prefix}:batch{shard[0]}-{shard[-1]}" for shard in shards
+        ],
+        accepts_telemetry=True,
+    )
     if telemetry.live is not None:
         telemetry.live.set_phase(f"{label_prefix}:solve", total_items=len(plan))
     with telemetry.span(span):
         results = runner.run(plan, telemetry=telemetry)
-    if solver_batching:
-        return {
-            int(k): res
-            for shard, shard_results in zip(shards, results)
-            for k, res in zip(shard, shard_results)
-        }
-    return dict(enumerate(results))
+    return {
+        int(k): res
+        for shard, shard_results in zip(shards, results)
+        for k, res in zip(shard, shard_results)
+    }
 
 
 class ServingEngine:
@@ -725,11 +704,9 @@ class ServingEngine:
         A :mod:`repro.runtime` backend, spec string, or ``None``.
     telemetry:
         The run's observer (shared with equilibrium solves).
-    solver_batching / batch_size:
-        Solve the mfg policy's equilibria through the batched tensor
-        pipeline — one work item per shard of at most ``batch_size``
-        contents instead of one per content.  Results are
-        bit-identical to the per-content path.
+    batch_size:
+        Most contents per batched equilibrium-solve work item of the
+        mfg policy.  Results are bit-identical for every width.
     stream:
         Optional :class:`~repro.serve.stream.RequestStream`.  When
         given, replay runs in bounded-memory chunks and the trace
@@ -764,7 +741,6 @@ class ServingEngine:
         shards: Optional[int] = None,
         executor: ExecutorLike = None,
         telemetry: SolverTelemetry = NULL_TELEMETRY,
-        solver_batching: bool = False,
         batch_size: int = 32,
         stream: Optional[RequestStream] = None,
         stream_chunk: int = 0,
@@ -786,9 +762,8 @@ class ServingEngine:
             raise ValueError(
                 f"stream_chunk must be non-negative, got {stream_chunk}"
             )
-        if solver_batching and batch_size <= 0:
+        if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.solver_batching = bool(solver_batching)
         self.batch_size = int(batch_size)
         if not 0.0 < capacity_fraction <= 1.0 and capacity_mb is None:
             raise ValueError(
@@ -882,7 +857,6 @@ class ServingEngine:
                 configs,
                 executor=self.executor,
                 telemetry=self.telemetry,
-                solver_batching=self.solver_batching,
                 batch_size=self.batch_size,
             )
         return self._equilibria

@@ -560,9 +560,9 @@ class NetworkReplayEngine:
     executor, telemetry:
         A :mod:`repro.runtime` backend (spec string or object) and the
         run's observer.
-    solver_batching / batch_size:
-        Solve the mfg strategy's equilibria through the batched tensor
-        pipeline (bit-identical to per-content solves).
+    batch_size:
+        Most contents per batched equilibrium-solve work item of the
+        mfg strategy (bit-identical results for every width).
     receiver_popularity:
         Optional ``(n_receivers, n_contents)`` per-receiver demand
         shares — e.g. from a trace with a ``receiver`` column via
@@ -596,7 +596,6 @@ class NetworkReplayEngine:
         queue_service_rate: Optional[float] = None,
         executor: ExecutorLike = None,
         telemetry: SolverTelemetry = NULL_TELEMETRY,
-        solver_batching: bool = False,
         batch_size: int = 32,
         receiver_popularity: Optional[np.ndarray] = None,
         stream: Optional[RequestStream] = None,
@@ -604,7 +603,7 @@ class NetworkReplayEngine:
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be positive, got {n_replicas}")
-        if solver_batching and batch_size <= 0:
+        if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if not 0.0 < capacity_fraction <= 1.0 and node_capacity_mb is None:
             raise ValueError(
@@ -639,7 +638,6 @@ class NetworkReplayEngine:
             raise ValueError(f"shards must be positive, got {shards}")
         self.executor = as_executor(executor)
         self.telemetry = telemetry
-        self.solver_batching = bool(solver_batching)
         self.batch_size = int(batch_size)
 
         catalog = workload.catalog
@@ -743,7 +741,6 @@ class NetworkReplayEngine:
                 configs,
                 executor=self.executor,
                 telemetry=self.telemetry,
-                solver_batching=self.solver_batching,
                 batch_size=self.batch_size,
                 label_prefix="net_eq",
                 span="net_solve_equilibria",

@@ -25,7 +25,7 @@ Examples::
 
     raise:item=2                     # item 2 fails its first attempt
     raise:item=2,times=-1            # item 2 fails every attempt
-    kill:label=content:*,attempt=0   # every content solve dies once
+    kill:label=batch:*,attempt=0     # every epoch solve shard dies once
     slow:item=1,seconds=0.05         # item 1 takes 50 ms longer
     corrupt:item=0                   # item 0's checkpoint is corrupted
     raise:item=0,exc=strict          # item 0 raises StrictNumericsError

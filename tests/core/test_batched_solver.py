@@ -308,6 +308,56 @@ class TestPerLaneDiagnostics:
         ):
             assert lanes_by_check.get(check) == {11, 22, 33}, check
 
+    def test_hjb_residual_matches_scalar_probe_lane_for_lane(self):
+        configs = lane_configs()
+        telemetry = SolverTelemetry.buffered()
+        BatchedBestResponseIterator(
+            configs, content_ids=[0, 1, 2], telemetry=telemetry
+        ).solve()
+        batched = {}
+        for event in telemetry.sink.events:
+            if event["ev"] == "diag.hjb.residual":
+                batched.setdefault(event["content"], []).append(event["value"])
+        for k, cfg in enumerate(configs):
+            solo = SolverTelemetry.buffered()
+            BestResponseIterator(cfg, telemetry=solo).solve()
+            scalar = [
+                e["value"] for e in solo.sink.events
+                if e["ev"] == "diag.hjb.residual"
+            ]
+            assert scalar and batched[k] == scalar, k
+
+    def test_residual_norms_equal_scalar_residual_norm(self):
+        configs = lane_configs()
+        batch = BatchGrid.from_grids([build_grid(cfg) for cfg in configs])
+        hjb = BatchedHJBSolver(configs, batch)
+        mean_fields = [
+            MeanFieldEstimator(cfg, batch.lane(b)).estimate(
+                initial_density(batch.lane(b), cfg)[None].repeat(
+                    batch.n_t + 1, axis=0
+                ),
+                np.full(batch.lane(b).path_shape, 0.5),
+            )
+            for b, cfg in enumerate(configs)
+        ]
+        values, _ = hjb.solve(mean_fields)
+        # A non-finite lane is reported as NaN, as the scalar probe does.
+        values[2, 3, 1, 1] = np.inf
+        lanes = np.array([2, 0])
+        with np.errstate(invalid="ignore"):
+            norms = hjb.residual_norms(
+                values[lanes], [mean_fields[b] for b in lanes], lanes=lanes
+            )
+            expected_norms = [
+                hjb.lane_solvers[b].residual_norm(values[b], mean_fields[b])
+                for b in lanes
+            ]
+        for j, (b, expected) in enumerate(zip(lanes, expected_norms)):
+            assert norms[j] == expected or (
+                np.isnan(norms[j]) and np.isnan(expected)
+            ), b
+        assert np.isnan(norms[0])
+
     def test_strict_numerics_failure_names_content(self):
         # A lane-tagged telemetry escalation must say which content
         # lane tripped the check, so a batched abort is actionable.
@@ -336,3 +386,33 @@ class TestPerLaneDiagnostics:
         density0[1] = 0.0
         with pytest.raises((StrictNumericsError, ValueError), match="content 6"):
             fpk.solve(np.full(batch.path_shape, 0.5), density0)
+
+
+class TestBatchedSolveMemory:
+    def test_serve_grid_solve_peaks_under_6_mb(self):
+        # 16 lanes on the serving grid (MFGCPConfig.fast): the solve
+        # keeps four (B, n_t + 1, n_h, n_q) buffers of 1.2 MB each and
+        # no fancy-index copies of them.
+        import tracemalloc
+
+        from repro.content.workloads import zipf_workload
+        from repro.serve.engine import equilibrium_configs
+
+        workload = zipf_workload(n_contents=16, rate_per_edp=60.0, seed=0)
+        timeliness = workload.timeliness_model
+        configs = equilibrium_configs(
+            MFGCPConfig.fast(),
+            workload.popularity,
+            [c.size_mb for c in workload.catalog],
+            60.0,
+            min(timeliness.mean(), timeliness.l_max),
+        )
+        iterator = BatchedBestResponseIterator(configs)
+        tracemalloc.start()
+        try:
+            results = iterator.solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 16
+        assert peak <= 6e6, f"peak {peak / 1e6:.2f} MB"

@@ -114,3 +114,42 @@ class TestForwardSweep:
         mean_h_end = grid.expectation(path[-1], grid.h_mesh())
         # The OU stationary start should stay near the long-term mean.
         assert mean_h_end == pytest.approx(mean_h_start, abs=0.3)
+
+
+class TestNormalPdf:
+    def test_equals_scipy_norm_pdf_on_the_grids(self, fast_config):
+        from scipy.stats import norm
+
+        from repro.core.fpk import normal_pdf
+
+        grid = build_grid(fast_config)
+        ou_mean, ou_std = fast_config.ou_process().stationary_moments()
+        mean_q, std_q = fast_config.initial_density_moments()
+        for x, loc, scale in (
+            (grid.h, ou_mean, ou_std),
+            (grid.q, mean_q, std_q),
+            (np.linspace(-40.0, 40.0, 20001), 0.3, 1.7),
+        ):
+            assert np.array_equal(
+                normal_pdf(x, loc=loc, scale=scale),
+                norm.pdf(x, loc=loc, scale=scale),
+            )
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -22,6 +22,11 @@ def double(x):
     return 2 * x
 
 
+def legacy_content_item(config, telemetry=None):
+    """The shape of a per-content solve item: a config, not an id tuple."""
+    return config
+
+
 def make_item(index=0, args=(21,), label="it", seed=None, **kwargs):
     return WorkItem(
         index=index, fn=double, args=args, label=label, seed=seed, **kwargs
@@ -65,9 +70,9 @@ class TestBatchedItemKeys:
     """Batched solver items hash their sorted content-index tuple.
 
     A batched run's checkpoint keys must never collide with a
-    per-content run's (or with a differently sharded batched run), so
-    ``--resume`` across a grain change recomputes instead of replaying
-    the wrong cached object.
+    differently sharded batched run's, nor with the per-content items
+    older runs recorded, so ``--resume`` across a grain change
+    recomputes instead of replaying the wrong cached object.
     """
 
     def _batched_item(self, content_ids, index=0):
@@ -86,11 +91,10 @@ class TestBatchedItemKeys:
 
     def _scalar_item(self, content_id, index=0):
         from repro.core.parameters import MFGCPConfig
-        from repro.core.solver import _solve_content_item
 
         return WorkItem(
             index=index,
-            fn=_solve_content_item,
+            fn=legacy_content_item,
             args=(MFGCPConfig.fast(),),
             label=f"content:{content_id}",
             accepts_telemetry=True,

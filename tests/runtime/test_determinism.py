@@ -18,8 +18,9 @@ from repro.analysis.experiments import run_scheme_summary
 from repro.content.catalog import ContentCatalog
 from repro.content.requests import RequestProcess
 from repro.content.timeliness import TimelinessModel
+from repro.core.best_response import BestResponseIterator
 from repro.core.parameters import MFGCPConfig
-from repro.core.solver import MFGCPSolver
+from repro.core.solver import EpochResult, MFGCPSolver
 from repro.obs.telemetry import SolverTelemetry
 from repro.runtime import ParallelExecutor, SerialExecutor
 
@@ -34,6 +35,13 @@ def tiny_config():
 
 
 def run_epoch(executor, telemetry=None, **run_kwargs):
+    """Two epochs over four contents.
+
+    The default shard width of 2 gives the serial backend the same two
+    batch items a 2-worker pool gets, so their telemetry compares item
+    for item.
+    """
+    run_kwargs.setdefault("batch_size", 2)
     n_contents = 4
     catalog = ContentCatalog.uniform(n_contents, size_mb=100.0)
     requests = RequestProcess(
@@ -116,21 +124,19 @@ class TestBatchedSolverEquivalence:
 
     The batched tensor pipeline replicates the scalar solvers'
     floating-point operation order lane by lane, so the guard demands
-    *bit-identical* equilibria — not just tolerance agreement — across
-    (a) the per-content path, (b) the batched path on the serial
-    backend, and (c) the batched path on a 2-worker process pool.
-    Should a future change break exact identity for a legitimate
-    numerical reason, loosen this to the documented determinism
-    tolerance (``assert_allclose`` with rtol 1e-12) — never silently.
+    *bit-identical* equilibria — not just tolerance agreement — between
+    (a) a scalar :class:`BestResponseIterator` solve of every content,
+    (b) the epoch loop at shard width 1 and 3 on the serial backend,
+    and (c) width 3 on a 2-worker process pool.  Should a future change
+    break exact identity for a legitimate numerical reason, loosen
+    this to the documented determinism tolerance (``assert_allclose``
+    with rtol 1e-12) — never silently.
     """
 
     VARIANTS = {
-        "scalar": ("serial", {}),
-        "batched": ("serial", dict(solver_batching=True, batch_size=3)),
-        "batched-process": (
-            "process",
-            dict(solver_batching=True, batch_size=3),
-        ),
+        "width-1": ("serial", dict(batch_size=1)),
+        "batched": ("serial", dict(batch_size=3)),
+        "batched-process": ("process", dict(batch_size=3)),
     }
 
     @pytest.fixture(scope="class")
@@ -138,9 +144,24 @@ class TestBatchedSolverEquivalence:
         out = {}
         for name, (backend, kwargs) in self.VARIANTS.items():
             out[name] = run_epoch(BACKENDS[backend](), **kwargs)
+        out["scalar"] = [
+            EpochResult(
+                epoch=r.epoch,
+                active_contents=r.active_contents,
+                equilibria={
+                    k: BestResponseIterator(eq.config).solve()
+                    for k, eq in r.equilibria.items()
+                },
+                popularity=r.popularity,
+                timeliness=r.timeliness,
+            )
+            for r in out["width-1"]
+        ]
         return out
 
-    @pytest.mark.parametrize("variant", ["batched", "batched-process"])
+    @pytest.mark.parametrize(
+        "variant", ["width-1", "batched", "batched-process"]
+    )
     def test_equilibria_bit_identical_to_scalar(self, runs, variant):
         for a, b in zip(runs["scalar"], runs[variant]):
             assert a.active_contents == b.active_contents
@@ -187,7 +208,8 @@ class TestProfiledRunDeterminism:
         for name, factory in backends.items():
             buffer = io.StringIO()
             telemetry = SolverTelemetry.to_jsonl(buffer, profile=True)
-            results = run_epoch(factory(), telemetry=telemetry)
+            # Width 1: four shards on both backends.
+            results = run_epoch(factory(), telemetry=telemetry, batch_size=1)
             metrics = telemetry.metrics.snapshot()
             telemetry.close()
             out[name] = (results, normalised_events(buffer), metrics)

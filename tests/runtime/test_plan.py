@@ -11,6 +11,7 @@ from repro.runtime import (
     as_executor,
     execute_item,
     make_executor,
+    partition_batches,
     partition_indices,
 )
 
@@ -101,6 +102,35 @@ class TestPartitionIndices:
             partition_indices(4, 0)
 
 
+class TestPartitionBatches:
+    def test_width_caps_each_shard(self):
+        assert partition_batches(7, 3) == [(0, 1, 2), (3, 4, 5), (6,)]
+
+    def test_serial_gets_one_shard_up_to_batch_size(self):
+        assert partition_batches(16, 32) == [tuple(range(16))]
+
+    @pytest.mark.parametrize(
+        "n, batch_size, workers, widths",
+        [
+            (16, 32, 2, [8, 8]),
+            (16, 3, 2, [3, 3, 3, 3, 3, 1]),
+            (5, 32, 2, [3, 2]),
+            (3, 32, 4, [1, 1, 1]),
+        ],
+    )
+    def test_workers_narrow_the_width(self, n, batch_size, workers, widths):
+        shards = partition_batches(n, batch_size, workers)
+        assert [len(s) for s in shards] == widths
+        assert [k for s in shards for k in s] == list(range(n))
+
+    def test_empty_and_invalid(self):
+        assert partition_batches(0, 4, 2) == []
+        with pytest.raises(ValueError, match="batch_size"):
+            partition_batches(4, 0)
+        with pytest.raises(ValueError, match="min_shards"):
+            partition_batches(4, 2, 0)
+
+
 class TestMakeExecutor:
     def test_serial_default(self):
         assert isinstance(make_executor(), SerialExecutor)
@@ -111,6 +141,13 @@ class TestMakeExecutor:
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 3
         assert executor.spec == "process:3"
+
+    def test_worker_counts(self):
+        from repro.runtime import ResumableExecutor
+
+        assert SerialExecutor().workers == 1
+        assert make_executor("process:3").workers == 3
+        assert ResumableExecutor(make_executor("process:3")).workers == 3
 
     def test_workers_argument_overrides_spec(self):
         assert make_executor("process:3", workers=5).workers == 5

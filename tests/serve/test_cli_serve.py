@@ -91,3 +91,50 @@ class TestServeCommand:
         assert main(argv + ["--backend", "process:2"]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
+
+
+class TestBatchWidth:
+    """Equilibria are solved in batched shards; the width changes nothing."""
+
+    ARGV = ["serve", "--policy", "mfg", "--requests", "400", "--edps", "4",
+            "--contents", "5", "--slots", "8", "--capacity-fraction", "0.5"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--batch-size", "1"], ["--batch-size", "3", "--backend", "process:2"]],
+        ids=["width-1", "width-3-process-2"],
+    )
+    def test_outputs_byte_identical_to_default(self, tmp_path, capsys, extra):
+        outputs = {}
+        for name, flags in (("default", []), ("variant", extra)):
+            out_dir = tmp_path / name
+            assert main(self.ARGV + flags + ["--out", str(out_dir)]) == 0
+            table = capsys.readouterr().out.split("  wrote")[0]
+            files = {
+                f: (out_dir / f).read_bytes()
+                for f in ("serving_summary.json", "serving_comparison.csv",
+                          "per_edp_mfg.csv")
+            }
+            outputs[name] = (table, files)
+        assert outputs["variant"] == outputs["default"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--edps", "0"],
+        ["serve", "--slots", "0"],
+        ["serve", "--contents", "0"],
+        ["serve", "--batch-size", "0"],
+        ["serve-net", "--slots", "0"],
+        ["serve-net", "--contents", "0"],
+        ["serve-net", "--replicas", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_zero_counts_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {argv[1]} must be positive, got 0"]

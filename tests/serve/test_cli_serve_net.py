@@ -107,3 +107,25 @@ class TestServeNetCommand:
         assert main(argv + ["--backend", "process:2"]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
+
+
+class TestBatchWidth:
+    ARGV = ["serve-net", "--strategy", "mfg"] + FAST
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--batch-size", "1"], ["--batch-size", "3", "--backend", "process:2"]],
+        ids=["width-1", "width-3-process-2"],
+    )
+    def test_outputs_byte_identical_to_default(self, tmp_path, capsys, extra):
+        outputs = {}
+        for name, flags in (("default", []), ("variant", extra)):
+            out_dir = tmp_path / name
+            assert main(self.ARGV + flags + ["--out", str(out_dir)]) == 0
+            table = capsys.readouterr().out.split("  wrote")[0]
+            files = {
+                p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+            }
+            assert files
+            outputs[name] = (table, files)
+        assert outputs["variant"] == outputs["default"]

@@ -117,6 +117,9 @@ class TestBackendDeterminism:
                 shards=3,
                 executor=factory(),
                 telemetry=telemetry,
+                # Two solve shards on both backends: a 2-worker pool
+                # narrows wider shards to give each worker one.
+                batch_size=2,
             )
             reports = engine.compare(["mfg", "lfu"])
             telemetry.close()
