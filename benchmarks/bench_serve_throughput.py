@@ -2,16 +2,17 @@
 
 Two measurements, one trend record:
 
-* **Materialised replay** — a contended trace (~100k requests over 8
-  EDPs) under the equilibrium-driven ``mfg`` policy.  Equilibrium
-  solves happen outside the timed region — the bench measures the
-  request loop, not the solver.
-* **Streaming replay (headline)** — the chunked bounded-memory
-  pipeline from ``repro.serve.stream`` at acceptance scale: 10^7+
-  requests across 10^3+ EDPs, replayed serially and on a 2-worker
-  process backend, with process-lifetime peak RSS recorded alongside
-  the throughput (``peak_rss_mb``).  The request volume is ~100x the
-  materialised bench; peak memory must not follow it.
+* **Canned-workload replay** — a contended ``video_marketplace``
+  trace (~100k requests over 8 EDPs, replayed as its fixed-popularity
+  stream in one chunk) under the equilibrium-driven ``mfg`` policy.
+  Equilibrium solves happen outside the timed region — the bench
+  measures the request loop, not the solver.
+* **Streaming replay (headline)** — a Zipf stream at acceptance
+  scale: 10^7+ requests across 10^3+ EDPs in 8-slot chunks, replayed
+  serially and on a 2-worker process backend, with process-lifetime
+  peak RSS recorded alongside the throughput (``peak_rss_mb``).  The
+  request volume is ~100x the canned bench; peak memory must not
+  follow it.
 
 Both measurements time the serial and 2-worker process backends and
 assert bit-identical aggregate reports (the ``repro.runtime``

@@ -21,7 +21,6 @@ from repro.content.trace import (
     SyntheticYouTubeTrace,
     TraceRecord,
     load_trace_csv,
-    trace_receiver_popularity,
     trace_to_popularity,
     trace_windows,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "TraceRecord",
     "TraceLoadResult",
     "load_trace_csv",
-    "trace_receiver_popularity",
     "trace_to_popularity",
     "trace_windows",
     "Workload",

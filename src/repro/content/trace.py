@@ -49,11 +49,9 @@ _TAG_POOL: Tuple[str, ...] = (
 class TraceRecord:
     """One trace row (matches the Kaggle schema fields the paper cites).
 
-    ``receiver`` is an optional network attachment point: traces that
-    carry a ``receiver`` column can drive multi-receiver cache-network
-    replays (:mod:`repro.serve.net`), with each record's demand
-    credited to that receiver's request stream.  ``None`` means the
-    record is not pinned to any receiver.
+    ``receiver`` is an optional network attachment point, parsed from
+    traces that carry a ``receiver`` column.  ``None`` means the record
+    is not pinned to any receiver.
     """
 
     video_id: str
@@ -264,44 +262,6 @@ def load_trace_csv(
     return TraceLoadResult(
         records, skipped_rows=skipped, skipped_receivers=skipped_receivers
     )
-
-
-def trace_receiver_popularity(
-    records: Iterable[TraceRecord],
-    n_receivers: int,
-    n_contents: Optional[int] = None,
-) -> Tuple[List[str], np.ndarray]:
-    """Per-receiver demand shares from a receiver-annotated trace.
-
-    Returns the global category labels (most viewed first, as in
-    :func:`trace_to_popularity`) and an ``(n_receivers, n_contents)``
-    matrix whose row ``r`` is receiver ``r``'s normalised demand over
-    those categories — the shape
-    :class:`repro.serve.net.NetworkReplayEngine` accepts as
-    ``receiver_popularity``.  Records with ``receiver=None`` (or a
-    receiver id outside ``range(n_receivers)``) spread their views
-    uniformly across all receivers, so unpinned demand still counts.
-    Receivers with no demand at all fall back to the global share.
-    """
-    if n_receivers < 1:
-        raise ValueError(f"n_receivers must be positive, got {n_receivers}")
-    records = list(records)
-    labels, global_share = trace_to_popularity(records, n_contents=n_contents)
-    index = {name: i for i, name in enumerate(labels)}
-    totals = np.zeros((n_receivers, len(labels)))
-    for rec in records:
-        col = index.get(rec.category)
-        if col is None:
-            continue
-        if rec.receiver is not None and 0 <= rec.receiver < n_receivers:
-            totals[rec.receiver, col] += float(rec.views)
-        else:
-            totals[:, col] += float(rec.views) / n_receivers
-    matrix = np.empty_like(totals)
-    for r in range(n_receivers):
-        mass = totals[r].sum()
-        matrix[r] = totals[r] / mass if mass > 0 else global_share
-    return labels, matrix
 
 
 def trace_windows(

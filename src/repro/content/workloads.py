@@ -72,6 +72,12 @@ class Workload:
         return tracker
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def zipf_workload(
     n_contents: int = 12,
     alpha: float = 1.0,
@@ -87,7 +93,7 @@ def zipf_workload(
     Rank 1 is content 0 (no permutation), so hit-ratio comparisons
     across runs and seeds talk about the same head and tail.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     popularity = ZipfPopularity(n_contents=n_contents, exponent=alpha).initial()
     catalog = ContentCatalog.uniform(n_contents, size_mb=content_size_mb)
     timeliness = TimelinessModel(l_max=3.0, shape_a=1.5, shape_b=4.0)  # lax
@@ -112,7 +118,7 @@ def video_marketplace(
     seed: int = 0,
 ) -> Workload:
     """Trending-video trading: Zipf demand, relaxed urgency."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     trace = SyntheticYouTubeTrace(n_videos=1500, rng=rng)
     labels, shares = trace_to_popularity(trace.generate(), n_contents=n_contents)
     catalog = ContentCatalog.uniform(
@@ -144,7 +150,7 @@ def traffic_information(
     Small contents ("traffic flow data of several important roads")
     that the centre updates hourly; drivers want them immediately.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     catalog = ContentCatalog(
         contents=[
             # Hourly-updated road segments (the paper's own example).
@@ -188,7 +194,7 @@ def news_cycle(
     shares (on the workload's content axis) to feed epoch by epoch into
     ``Workload.tracker().observe``.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     trace = SyntheticYouTubeTrace(n_videos=2000, zipf_exponent=0.7, rng=rng)
     records = trace.generate()
     windows = trace_windows(records, n_windows=n_windows, n_contents=n_contents)

@@ -14,10 +14,11 @@ The :mod:`repro.serve.net` subpackage replays the same traces through
 hierarchical cache *networks* (PATH/TREE/RING/MESH topologies with
 on-path placement strategies) behind ``repro serve-net``.
 
-For million-request replays, :mod:`repro.serve.stream` provides the
-chunked :class:`RequestStream` protocol (``--stream`` on the CLI):
-bounded-memory generation with per-``(EDP, slot)`` RNG keying, five
-workload generators, and chunk-granular resume (see
+Every replay draws its requests through the chunked
+:class:`RequestStream` protocol of :mod:`repro.serve.stream`:
+bounded-memory generation with per-``(EDP, slot)`` RNG keying, a
+fixed-popularity stream for canned workloads plus five generators
+(``--stream`` on the CLI), and chunk-granular resume (see
 ``docs/serving.md``).
 """
 
@@ -28,12 +29,7 @@ from repro.serve.engine import (
     replay_shard,
     stream_state_key,
 )
-from repro.serve.events import (
-    RequestTraceSource,
-    SlotEvent,
-    edp_seed_sequences,
-    partition_edps,
-)
+from repro.serve.events import partition_edps
 from repro.serve.policies import (
     LFUPolicy,
     LRUPolicy,
@@ -83,18 +79,15 @@ __all__ = [
     "ReplaySpec",
     "RequestChunk",
     "RequestStream",
-    "RequestTraceSource",
     "STREAM_WORKLOADS",
     "ServingEngine",
     "ServingPolicy",
     "ServingReport",
     "ShuffledZipfStream",
-    "SlotEvent",
     "TraceStream",
     "ZipfStream",
     "comparison_rows",
     "concat_chunks",
-    "edp_seed_sequences",
     "export_serving_reports",
     "make_policy",
     "make_stream",

@@ -1,181 +1,15 @@
-"""Deterministic per-EDP request streams for trace replay.
+"""Shard layout for per-EDP replay.
 
-The serving engine replays a slotted request trace: time is divided
-into ``n_slots`` slots of length ``dt``, and in every slot each EDP
-observes a :class:`repro.content.requests.RequestBatch` — Poisson
-counts per content split by popularity, each request carrying a Def. 2
-timeliness requirement.
-
-Determinism is the whole design.  Every EDP owns an independent RNG
-stream spawned from one root ``SeedSequence`` (``spawn`` children are
-a pure function of the root entropy, so EDP ``i`` draws the *same*
-requests no matter how EDPs are grouped into replay shards), and each
-EDP's stream is produced and consumed strictly in slot order.  Replays
-are therefore bit-identical across the serial backend, any ``process:N``
-pool, and any shard count.
+Every EDP's requests come from its own ``(EDP, slot)``-keyed
+:class:`~repro.serve.stream.RequestStream` cells, so how EDPs are
+grouped into replay shards never changes what any of them draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.content.requests import RequestBatch, RequestProcess
-from repro.content.timeliness import TimelinessModel
 from repro.runtime import partition_indices
-
-
-def edp_seed_sequences(seed: int, n_edps: int) -> List[np.random.SeedSequence]:
-    """One child seed per EDP, independent of any sharding.
-
-    ``SeedSequence(seed).spawn(n)`` regenerates identical children on
-    every call, so a shard holding EDPs ``{3, 7}`` derives exactly the
-    streams a serial replay would have used for those EDPs.
-    """
-    if n_edps < 1:
-        raise ValueError(f"need at least one EDP, got {n_edps}")
-    return list(np.random.SeedSequence(int(seed)).spawn(n_edps))
-
-
-@dataclass(frozen=True)
-class SlotEvent:
-    """One (slot, EDP) observation of the request trace.
-
-    Attributes
-    ----------
-    slot:
-        Slot index in ``[0, n_slots)``.
-    t:
-        Slot midpoint time (requests in a slot share its midpoint).
-    batch:
-        The sampled requests: per-content counts plus the timeliness
-        requirement attached to every request.
-    """
-
-    slot: int
-    t: float
-    batch: RequestBatch
-
-
-@dataclass(frozen=True)
-class RequestTraceSource:
-    """A picklable recipe for every EDP's request stream.
-
-    Workers rebuild per-EDP streams from this plain-data recipe, so the
-    object crosses process boundaries without dragging live generators
-    along.  ``stream(edp)`` must be consumed in slot order; policy
-    decisions draw from the separate policy member of
-    :meth:`rng_pair_for`, so the request trace itself is identical
-    under every policy and every backend.
-
-    Attributes
-    ----------
-    popularity:
-        Per-content demand share (tuple so the dataclass stays frozen
-        and hashable enough to pickle cheaply).
-    rate_per_edp:
-        Expected requests one EDP receives per unit time.
-    timeliness:
-        Law of the per-request timeliness requirements.
-    n_slots, dt:
-        Slot count and length; the replay horizon is ``n_slots * dt``.
-    seed:
-        Root entropy for :func:`edp_seed_sequences`.
-    n_edps:
-        Population size (fixes the spawn fan-out).
-    """
-
-    popularity: Tuple[float, ...]
-    rate_per_edp: float
-    timeliness: TimelinessModel
-    n_slots: int
-    dt: float
-    seed: int
-    n_edps: int
-
-    def __post_init__(self) -> None:
-        if not self.popularity:
-            raise ValueError("popularity must name at least one content")
-        if self.rate_per_edp < 0:
-            raise ValueError(
-                f"rate_per_edp must be non-negative, got {self.rate_per_edp}"
-            )
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be positive, got {self.n_slots}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_edps < 1:
-            raise ValueError(f"need at least one EDP, got {self.n_edps}")
-
-    @property
-    def n_contents(self) -> int:
-        return len(self.popularity)
-
-    @property
-    def horizon(self) -> float:
-        """Replay horizon ``n_slots * dt``."""
-        return self.n_slots * self.dt
-
-    def slot_times(self) -> np.ndarray:
-        """Midpoint time of every slot."""
-        return (np.arange(self.n_slots) + 0.5) * self.dt
-
-    def rng_pair_for(
-        self, edp: int
-    ) -> Tuple[np.random.Generator, np.random.Generator]:
-        """The EDP's (request, policy) generator pair.
-
-        Requests and policy decisions draw from *separate* streams so
-        the request trace is identical under every policy — comparison
-        tables then measure policy quality on the same requests, not
-        on diverged sample paths.  Both streams descend from the EDP's
-        own child seed, so the shard-independence argument carries.
-        """
-        if not 0 <= edp < self.n_edps:
-            raise IndexError(f"EDP index {edp} out of range [0, {self.n_edps})")
-        request_seed, policy_seed = edp_seed_sequences(
-            self.seed, self.n_edps
-        )[edp].spawn(2)
-        return (
-            np.random.default_rng(request_seed),
-            np.random.default_rng(policy_seed),
-        )
-
-    def rng_for(self, edp: int) -> np.random.Generator:
-        """The EDP's request-stream generator."""
-        return self.rng_pair_for(edp)[0]
-
-    def process_for(self, edp: int, rng: np.random.Generator = None) -> RequestProcess:
-        """The EDP's arrival process bound to its own stream."""
-        return RequestProcess(
-            n_contents=self.n_contents,
-            rate_per_edp=self.rate_per_edp,
-            timeliness_model=self.timeliness,
-            rng=rng if rng is not None else self.rng_for(edp),
-        )
-
-    def stream(
-        self, edp: int, rng: np.random.Generator = None
-    ) -> Iterator[SlotEvent]:
-        """The EDP's slot-ordered request trace.
-
-        Pass the EDP's generator explicitly when policy decisions share
-        it (the engine does); otherwise a fresh one is derived.
-        """
-        process = self.process_for(edp, rng)
-        popularity = np.asarray(self.popularity, dtype=float)
-        for slot in range(self.n_slots):
-            yield SlotEvent(
-                slot=slot,
-                t=(slot + 0.5) * self.dt,
-                batch=process.sample(popularity, self.dt),
-            )
-
-    def expected_total_requests(self) -> float:
-        """Mean request volume of a full replay (all EDPs, all slots)."""
-        return self.rate_per_edp * self.horizon * self.n_edps
 
 
 def partition_edps(n_edps: int, n_shards: int) -> List[Tuple[int, ...]]:

@@ -1,9 +1,7 @@
-"""Chunked streaming request generation for million-user replay.
+"""Chunked streaming request generation: the serving plane's one trace.
 
-The legacy :class:`~repro.serve.events.RequestTraceSource` walks one
-sequential RNG per EDP, so a replay can only be reproduced from slot 0
-and every consumer pays per-slot python sampling costs.  This module
-replaces that with a **streaming iterator protocol** built for scale:
+Every replay — canned scenario workloads and the generators below alike
+— draws its requests through this module:
 
 * A :class:`RequestStream` is a frozen, picklable recipe that yields
   fixed-size :class:`RequestChunk` blocks of requests per EDP.
@@ -21,6 +19,8 @@ Workload generators (mirroring icarus's workload catalog, each with
 the warmup+measured phase split via ``warmup_slots``):
 
 =================  ====================================================
+:class:`FixedPopularityStream`  an explicit static demand-share vector
+                             (what canned scenario workloads replay)
 :class:`ZipfStream`          static ``rank^-alpha`` demand
 :class:`ShuffledZipfStream`  Zipf weights under a seed-deterministic
                              rank permutation
@@ -33,12 +33,8 @@ the warmup+measured phase split via ``warmup_slots``):
                              semantics, malformed rows skipped+counted)
 =================  ====================================================
 
-``stream(edp)`` semantics match the legacy protocol — Poisson counts
-per content split by popularity, per-request Def. 2 timeliness
-requirements — but the RNG keying differs, so streamed replays are a
-*new* determinism domain, not bit-compatible with
-:class:`RequestTraceSource` replays at equal seeds (both domains are
-individually reproducible forever).
+Each slot carries Poisson counts per content split by popularity, and
+every request a Def. 2 timeliness requirement (paper §II-B).
 """
 
 from __future__ import annotations
@@ -145,7 +141,7 @@ class RequestChunk:
         return self.timeliness[offs[cell]:offs[cell + 1]]
 
     def slot_batches(self) -> Iterator[Tuple[int, float, RequestBatch]]:
-        """Legacy-shaped view: ``(slot, t, RequestBatch)`` per slot."""
+        """Per-slot view: ``(slot, t, RequestBatch)`` for every slot."""
         offs = self.offsets()
         k = self.n_contents
         for s in range(self.n_slots):
@@ -231,10 +227,13 @@ class RequestStream(abc.ABC):
             raise ValueError(f"n_slots must be positive, got {self.n_slots}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.rate_per_edp < 0:
+        if not np.isfinite(self.rate_per_edp) or self.rate_per_edp < 0:
             raise ValueError(
-                f"rate_per_edp must be non-negative, got {self.rate_per_edp}"
+                f"rate_per_edp must be finite and non-negative, got "
+                f"{self.rate_per_edp}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.warmup_slots < self.n_slots:
             raise ValueError(
                 f"warmup_slots must lie in [0, n_slots), got "

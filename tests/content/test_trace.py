@@ -9,7 +9,6 @@ from repro.content.trace import (
     TraceLoadResult,
     TraceRecord,
     load_trace_csv,
-    trace_receiver_popularity,
     trace_to_popularity,
 )
 
@@ -237,75 +236,3 @@ class TestReceiverColumn:
                 video_id="v", category="10", tags=(), views=1, likes=0,
                 comment_count=0, publish_time=0.0, receiver=-2,
             )
-
-
-class TestReceiverPopularity:
-    def records(self):
-        def rec(cat, views, receiver):
-            return TraceRecord(
-                video_id=f"{cat}-{views}", category=cat, tags=(),
-                views=views, likes=0, comment_count=0, publish_time=0.0,
-                receiver=receiver,
-            )
-        return [
-            rec("a", 300, 0), rec("b", 100, 0),
-            rec("b", 400, 1),
-            rec("a", 200, None),  # unpinned: spread uniformly
-        ]
-
-    def test_rows_are_distributions(self):
-        labels, matrix = trace_receiver_popularity(self.records(), 3)
-        assert matrix.shape == (3, len(labels))
-        assert np.all(matrix >= 0)
-        assert np.allclose(matrix.sum(axis=1), 1.0)
-
-    def test_pinned_demand_stays_local(self):
-        labels, matrix = trace_receiver_popularity(self.records(), 2)
-        a, b = labels.index("a"), labels.index("b")
-        # Receiver 0 leans a (300 pinned + 100 spread vs 100 b).
-        assert matrix[0, a] > matrix[0, b]
-        # Receiver 1 leans b (400 pinned vs 100 spread a).
-        assert matrix[1, b] > matrix[1, a]
-
-    def test_empty_receiver_falls_back_to_global(self):
-        records = [
-            TraceRecord(
-                video_id="v", category="a", tags=(), views=100, likes=0,
-                comment_count=0, publish_time=0.0, receiver=0,
-            )
-        ]
-        labels, matrix = trace_receiver_popularity(records, 3)
-        # Receivers 1 and 2 saw nothing pinned or spread... the single
-        # record is pinned to 0, so they inherit the global share.
-        assert np.allclose(matrix[1], matrix[2])
-        assert np.allclose(matrix[1].sum(), 1.0)
-
-    def test_out_of_range_receiver_spreads(self):
-        records = [
-            TraceRecord(
-                video_id="v", category="a", tags=(), views=100, likes=0,
-                comment_count=0, publish_time=0.0, receiver=7,
-            )
-        ]
-        _, matrix = trace_receiver_popularity(records, 2)
-        assert np.allclose(matrix[0], matrix[1])
-
-    def test_bad_n_receivers_raises(self):
-        with pytest.raises(ValueError, match="n_receivers"):
-            trace_receiver_popularity(self.records(), 0)
-
-    def test_feeds_network_engine_shape(self):
-        from repro.content.workloads import zipf_workload
-        from repro.serve.net import NetworkReplayEngine, parse_topology
-
-        topo = parse_topology("ring:3")
-        labels, matrix = trace_receiver_popularity(
-            self.records(), topo.n_receivers
-        )
-        workload = zipf_workload(n_contents=len(labels), rate_per_edp=20.0)
-        engine = NetworkReplayEngine(
-            workload, topo, n_replicas=1, capacity_fraction=0.6,
-            receiver_popularity=matrix,
-        )
-        report = engine.replay("lce")
-        assert report.requests > 0

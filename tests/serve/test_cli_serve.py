@@ -94,19 +94,26 @@ class TestServeCommand:
 
 
 class TestBatchWidth:
-    """Equilibria are solved in batched shards; the width changes nothing."""
+    """Neither the solve-shard width nor the replay chunking changes output."""
 
     ARGV = ["serve", "--policy", "mfg", "--requests", "400", "--edps", "4",
             "--contents", "5", "--slots", "8", "--capacity-fraction", "0.5"]
+    NEWS = ["--workload", "news_cycle"]
 
     @pytest.mark.parametrize(
-        "extra",
-        [["--batch-size", "1"], ["--batch-size", "3", "--backend", "process:2"]],
-        ids=["width-1", "width-3-process-2"],
+        "base, extra",
+        [([], ["--batch-size", "1"]),
+         ([], ["--batch-size", "3", "--backend", "process:2"]),
+         (NEWS, ["--stream-chunk", "1"]),
+         (NEWS, ["--stream-chunk", "0", "--backend", "process:2"])],
+        ids=["width-1", "width-3-process-2", "news-chunk-1",
+             "news-chunk-0-process-2"],
     )
-    def test_outputs_byte_identical_to_default(self, tmp_path, capsys, extra):
+    def test_outputs_byte_identical_to_default(
+        self, tmp_path, capsys, base, extra
+    ):
         outputs = {}
-        for name, flags in (("default", []), ("variant", extra)):
+        for name, flags in (("default", base), ("variant", base + extra)):
             out_dir = tmp_path / name
             assert main(self.ARGV + flags + ["--out", str(out_dir)]) == 0
             table = capsys.readouterr().out.split("  wrote")[0]
@@ -138,3 +145,43 @@ def test_zero_counts_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: {argv[1]} must be positive, got 0"]
+
+
+def requests_reported(out):
+    return int(out.split(" requests)")[0].rsplit(" ", 1)[1])
+
+
+def test_warmup_slots_apply_to_canned_workloads(capsys):
+    argv = ["serve", "--policy", "lru"] + FAST
+    assert main(argv) == 0
+    plain = requests_reported(capsys.readouterr().out)
+    assert main(argv + ["--warmup-slots", "5"]) == 0
+    warmed = requests_reported(capsys.readouterr().out)
+    assert 0 < warmed < plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--stream-chunk", "-1"],
+        ["serve", "--seed", "-1"],
+        ["serve", "--stream", "zipf", "--seed", "-1"],
+        ["serve", "--stream", "zipf", "--requests", "nan"],
+        ["serve", "--stream", "zipf", "--requests", "inf"],
+        ["serve-net", "--seed", "-1"],
+        ["serve-net", "--rate", "-1"],
+        ["serve-net", "--rate", "nan"],
+        ["serve-net", "--stream", "zipf", "--rate", "inf"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_values_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    field = {"--seed": "seed", "--stream-chunk": "stream_chunk"}.get(
+        argv[-2], "rate_per_edp"
+    )
+    assert field in errors[0]

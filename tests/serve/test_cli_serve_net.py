@@ -114,8 +114,10 @@ class TestBatchWidth:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--batch-size", "1"], ["--batch-size", "3", "--backend", "process:2"]],
-        ids=["width-1", "width-3-process-2"],
+        [["--batch-size", "1"], ["--batch-size", "3", "--backend", "process:2"],
+         ["--stream-chunk", "1"],
+         ["--stream-chunk", "0", "--backend", "process:2"]],
+        ids=["width-1", "width-3-process-2", "chunk-1", "chunk-0-process-2"],
     )
     def test_outputs_byte_identical_to_default(self, tmp_path, capsys, extra):
         outputs = {}

@@ -40,14 +40,14 @@ def normalised_events(buffer):
 class TestReplaySpec:
     def test_engine_spec_is_consistent(self, engine):
         spec = engine.spec()
-        assert spec.price.shape == (engine.source.n_slots, len(engine.sizes_mb))
+        assert spec.price.shape == (engine.stream.n_slots, len(engine.sizes_mb))
         assert all(m > h for m, h in zip(spec.miss_latency_s, spec.hit_latency_s))
 
     def test_rejects_mismatched_catalog(self, engine):
         spec = engine.spec()
         with pytest.raises(ValueError, match="sizes_mb"):
             ReplaySpec(
-                source=spec.source,
+                stream=spec.stream,
                 sizes_mb=spec.sizes_mb[:-1],
                 update_periods=spec.update_periods,
                 capacity_mb=spec.capacity_mb,
@@ -63,7 +63,7 @@ class TestReplaySpec:
         spec = engine.spec()
         with pytest.raises(ValueError, match="price"):
             ReplaySpec(
-                source=spec.source,
+                stream=spec.stream,
                 sizes_mb=spec.sizes_mb,
                 update_periods=spec.update_periods,
                 capacity_mb=spec.capacity_mb,

@@ -1,4 +1,9 @@
-"""Tests for the deterministic request-trace source."""
+"""Tests for the canned-workload request source and EDP sharding.
+
+Canned scenario workloads replay through a
+:class:`~repro.serve.stream.FixedPopularityStream` built from the
+workload's demand shares; these cases pin its per-EDP determinism.
+"""
 
 import pickle
 
@@ -6,12 +11,13 @@ import numpy as np
 import pytest
 
 from repro.content.timeliness import TimelinessModel
-from repro.serve import RequestTraceSource, edp_seed_sequences, partition_edps
+from repro.serve import FixedPopularityStream, make_stream, partition_edps
 
 
 def make_source(n_edps=4, n_slots=6, seed=5, rate=20.0):
-    return RequestTraceSource(
-        popularity=(0.5, 0.3, 0.2),
+    return make_stream(
+        "fixed",
+        shares=(0.5, 0.3, 0.2),
         rate_per_edp=rate,
         timeliness=TimelinessModel(l_max=3.0),
         n_slots=n_slots,
@@ -21,21 +27,26 @@ def make_source(n_edps=4, n_slots=6, seed=5, rate=20.0):
     )
 
 
+def counts_of(source, edp):
+    return source.materialize(edp).counts.tolist()
+
+
 class TestSeedSequences:
     def test_children_reproducible(self):
-        a = edp_seed_sequences(7, 5)
-        b = edp_seed_sequences(7, 5)
-        assert [c.entropy for c in a] == [c.entropy for c in b]
-        assert [c.spawn_key for c in a] == [c.spawn_key for c in b]
+        a, b = make_source(seed=7), make_source(seed=7)
+        for edp in range(4):
+            assert np.array_equal(
+                a.request_rng(edp, 2).random(8), b.request_rng(edp, 2).random(8)
+            )
 
     def test_children_distinct(self):
-        children = edp_seed_sequences(7, 5)
-        keys = {c.spawn_key for c in children}
-        assert len(keys) == 5
+        source = make_source(n_edps=5, seed=7)
+        first = {float(source.request_rng(edp, 0).random()) for edp in range(5)}
+        assert len(first) == 5
 
     def test_rejects_bad_population(self):
         with pytest.raises(ValueError, match="EDP"):
-            edp_seed_sequences(7, 0)
+            make_source(n_edps=0)
 
 
 class TestTraceSource:
@@ -45,34 +56,25 @@ class TestTraceSource:
         assert source.horizon == pytest.approx(0.4)
 
     def test_stream_covers_all_slots(self):
-        source = make_source(n_slots=6)
-        events = list(source.stream(0))
-        assert [e.slot for e in events] == list(range(6))
-        assert all(e.batch.counts.shape == (3,) for e in events)
+        chunk = make_source(n_slots=6).materialize(0)
+        assert chunk.start_slot == 0
+        assert chunk.counts.shape == (6, 3)
 
     def test_stream_reproducible_per_edp(self):
         source = make_source()
-        a = [e.batch.counts.tolist() for e in source.stream(2)]
-        b = [e.batch.counts.tolist() for e in source.stream(2)]
-        assert a == b
+        assert counts_of(source, 2) == counts_of(source, 2)
 
     def test_streams_differ_across_edps(self):
         source = make_source(rate=100.0)
-        a = [e.batch.counts.tolist() for e in source.stream(0)]
-        b = [e.batch.counts.tolist() for e in source.stream(1)]
-        assert a != b
+        assert counts_of(source, 0) != counts_of(source, 1)
 
     def test_request_stream_independent_of_policy_draws(self):
         """Burning policy draws must not perturb the request trace."""
         source = make_source()
-        req_only, _ = source.rng_pair_for(1)
-        baseline = [e.batch.counts.tolist() for e in source.stream(1, req_only)]
-        req_rng, policy_rng = source.rng_pair_for(1)
-        interleaved = []
-        for event in source.stream(1, req_rng):
-            interleaved.append(event.batch.counts.tolist())
-            policy_rng.random(5)  # policy decisions draw elsewhere
-        assert interleaved == baseline
+        baseline = counts_of(source, 1)
+        for slot in range(source.n_slots):
+            source.policy_rng(1, slot).random(5)
+        assert counts_of(source, 1) == baseline
 
     def test_expected_total_requests(self):
         source = make_source(n_edps=4, n_slots=6, rate=20.0)
@@ -82,23 +84,19 @@ class TestTraceSource:
     def test_pickle_roundtrip(self):
         source = make_source()
         clone = pickle.loads(pickle.dumps(source))
-        a = [e.batch.counts.tolist() for e in source.stream(0)]
-        b = [e.batch.counts.tolist() for e in clone.stream(0)]
-        assert a == b
+        assert counts_of(source, 0) == counts_of(clone, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="popularity"):
-            make_source().__class__(
-                popularity=(),
+        with pytest.raises(ValueError, match="shares"):
+            FixedPopularityStream(
+                shares=(),
                 rate_per_edp=1.0,
-                timeliness=TimelinessModel(),
                 n_slots=2,
                 dt=0.1,
-                seed=0,
                 n_edps=1,
             )
         with pytest.raises(IndexError, match="out of range"):
-            make_source(n_edps=3).rng_pair_for(3)
+            make_source(n_edps=3).request_rng(3, 0)
 
 
 class TestPartition:

@@ -7,6 +7,7 @@ requiring bit-identical reports and identical normalised telemetry.
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,36 +56,21 @@ def path_engine(net_workload):
 class TestSpec:
     def test_engine_spec_is_consistent(self, path_engine):
         spec = path_engine.spec()
-        assert spec.source.n_edps == spec.n_replicas * spec.n_receivers
+        assert spec.stream.n_edps == spec.n_replicas * spec.n_receivers
         assert spec.node_capacity_mb == path_engine.node_capacity_mb
 
     def test_stream_geometry_mismatch_raises(self, path_engine):
         spec = path_engine.spec()
-        with pytest.raises(ValueError, match="streams"):
+        with pytest.raises(ValueError, match="lanes"):
             NetworkReplaySpec(
                 topology=spec.topology,
-                source=spec.source,
+                stream=spec.stream,
                 n_receivers=spec.n_receivers,
                 n_replicas=spec.n_replicas + 1,
                 sizes_mb=spec.sizes_mb,
                 node_capacity_mb=spec.node_capacity_mb,
                 queue_capacity=spec.queue_capacity,
                 queue_service_rate=spec.queue_service_rate,
-            )
-
-    def test_receiver_popularity_shape_checked(self, path_engine):
-        spec = path_engine.spec()
-        with pytest.raises(ValueError, match="receiver_popularity"):
-            NetworkReplaySpec(
-                topology=spec.topology,
-                source=spec.source,
-                n_receivers=spec.n_receivers,
-                n_replicas=spec.n_replicas,
-                sizes_mb=spec.sizes_mb,
-                node_capacity_mb=spec.node_capacity_mb,
-                queue_capacity=spec.queue_capacity,
-                queue_service_rate=spec.queue_service_rate,
-                receiver_popularity=np.ones((spec.n_receivers + 1, 2)),
             )
 
     def test_tiny_node_capacity_rejected(self, net_workload):
@@ -148,18 +134,19 @@ class TestReplaySemantics:
 class TestReceiverPopularity:
     def test_degenerate_demand_caches_trivially(self, net_workload):
         topo = parse_topology("ring:4")
-        focused = np.zeros((topo.n_receivers, len(net_workload.catalog)))
-        focused[:, 0] = 1.0
         base = NetworkReplayEngine(
             net_workload, topo, n_replicas=2, capacity_fraction=0.2, seed=3
-        ).replay("lce")
+        )
+        focused = np.zeros(len(net_workload.catalog))
+        focused[0] = 1.0
+        stream = replace(base.stream, shares=tuple(focused))
         single = NetworkReplayEngine(
-            net_workload, topo, n_replicas=2, capacity_fraction=0.2, seed=3,
-            receiver_popularity=focused,
+            net_workload, topo, n_replicas=2, capacity_fraction=0.2,
+            stream=stream,
         ).replay("lce")
         # Everyone asking for one cacheable content must beat the
         # Zipf mix at the same budget.
-        assert single.hit_ratio > base.hit_ratio
+        assert single.hit_ratio > base.replay("lce").hit_ratio
 
 
 class TestDeterminism:

@@ -396,19 +396,6 @@ class TestEngineStreamValidation:
                 stream_workload(stream), 4, stream=stream, stream_chunk=-1
             )
 
-    def test_net_engine_rejects_receiver_popularity_with_stream(self):
-        stream = ZipfStream(
-            n_catalog=6, n_edps=4, n_slots=12, dt=0.5,
-            rate_per_edp=20.0, seed=3,
-        )
-        with pytest.raises(ValueError, match="not supported in stream mode"):
-            NetworkReplayEngine(
-                stream_workload(stream),
-                "path:4",
-                stream=stream,
-                receiver_popularity=np.ones((2, 6)),
-            )
-
     def test_net_engine_lane_count_must_match(self):
         stream = ZipfStream(
             n_catalog=6, n_edps=3, n_slots=12, dt=0.5,

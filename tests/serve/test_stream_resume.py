@@ -43,7 +43,20 @@ SERVE_ARGS = [
 ]
 
 
+# The canned-workload run replays the same chunked kernel through a
+# fixed-popularity stream, so the same chunk label kills it.
+CANNED_ARGS = [arg for arg in SERVE_ARGS if arg not in ("--stream", "zipf")]
+
+
 def test_kill_and_resume_matches_uninterrupted_run(tmp_path, capsys):
+    kill_and_resume(SERVE_ARGS, tmp_path, capsys)
+
+
+def test_kill_and_resume_canned_workload(tmp_path, capsys):
+    kill_and_resume(CANNED_ARGS, tmp_path, capsys)
+
+
+def kill_and_resume(args, tmp_path, capsys):
     clean_t = tmp_path / "clean.jsonl"
     resume_t = tmp_path / "resumed.jsonl"
     ckpt = tmp_path / "ckpt"
@@ -51,7 +64,7 @@ def test_kill_and_resume_matches_uninterrupted_run(tmp_path, capsys):
     out_resume = tmp_path / "out_resume"
 
     assert main(
-        SERVE_ARGS + ["--telemetry", str(clean_t), "--out", str(out_clean)]
+        args + ["--telemetry", str(clean_t), "--out", str(out_clean)]
     ) == 0
     clean_out = capsys.readouterr().out
 
@@ -59,7 +72,7 @@ def test_kill_and_resume_matches_uninterrupted_run(tmp_path, capsys):
     # glob matches chunk labels only — shard item labels
     # (serve:lru:shard0) never collide with serve:lru:edp*.
     assert exit_code(
-        SERVE_ARGS + [
+        args + [
             "--telemetry", str(tmp_path / "dead.jsonl"),
             "--checkpoint-dir", str(ckpt),
             "--inject-faults", "raise:label=serve:lru:edp2:chunk2,times=-1",
@@ -76,7 +89,7 @@ def test_kill_and_resume_matches_uninterrupted_run(tmp_path, capsys):
     # Resume without faults: finished shards come from the checkpoint
     # store, the interrupted shard fast-forwards its saved chunks.
     assert main(
-        SERVE_ARGS + [
+        args + [
             "--telemetry", str(resume_t),
             "--checkpoint-dir", str(ckpt), "--resume",
             "--out", str(out_resume),
