@@ -125,6 +125,7 @@ from repro.runtime import (
     ResumableExecutor,
     make_executor,
 )
+from repro.runtime.checkpoint import stream_state_dir
 from repro.testing.faults import FaultSpecError, clear_faults, install_faults
 
 EXPERIMENT_NAMES = (
@@ -492,18 +493,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> MFGCPConfig:
+def _build_config(args: argparse.Namespace) -> MFGCPConfig:
     config = MFGCPConfig.fast() if args.fast else MFGCPConfig.paper_default()
     overrides = {}
-    if args.content_size is not None:
-        overrides["content_size"] = args.content_size
-    if args.eta1 is not None:
-        overrides["eta1"] = args.eta1
-    if args.popularity is not None:
-        overrides["popularity"] = args.popularity
+    for key in ("content_size", "eta1", "popularity"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if not np.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+        overrides[key] = value
     if args.no_sharing:
         overrides["include_sharing"] = False
-    return replace(config, **overrides) if overrides else config
+    config = replace(config, **overrides) if overrides else config
+    config.pricing_model()  # validates eta1 now, not mid-solve
+    return config
+
+
+def _config_from_args(args: argparse.Namespace) -> MFGCPConfig:
+    """The model config of ``--fast`` and the override flags; a value
+    the config rejects is a usage error (one ``error:`` line, exit 2)."""
+    try:
+        return _build_config(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _registry_enabled(args: argparse.Namespace) -> bool:
@@ -536,10 +550,14 @@ def _config_snapshot(args: argparse.Namespace) -> dict:
     if hasattr(args, "fast"):
         import dataclasses
 
+        try:
+            model = dataclasses.asdict(_build_config(args))
+        except ValueError:  # a usage error, already reported by the run
+            return snapshot
         for key in ("fast", "content_size", "eta1", "popularity",
                     "no_sharing"):
             snapshot.pop(key, None)
-        snapshot["model"] = dataclasses.asdict(_config_from_args(args))
+        snapshot["model"] = model
     return snapshot
 
 
@@ -741,35 +759,21 @@ def _close_telemetry(args: argparse.Namespace, telemetry: SolverTelemetry) -> No
         print(f"telemetry written to {args.telemetry}")
 
 
-def _strict_abort(
+def _abort_run(
     args: argparse.Namespace, telemetry: SolverTelemetry, err: Exception
 ) -> int:
-    """Finish a run killed by ``--strict-numerics`` (exit 3).
+    """Finish a run killed by ``--strict-numerics`` (exit 3) or by a
+    work item that exhausted its retries (exit 1).
 
-    The telemetry file is still closed properly — the triggering
-    ``diag.*`` event is already in the stream, which is the point.
+    The telemetry file still closes cleanly: the triggering ``diag.*``
+    or ``item.retry``/``item.failed`` events are already in the stream,
+    which is the point — ``repro report`` shows the full story.
     """
     if telemetry.live is not None:
         telemetry.live.finish("failed")
     _close_telemetry(args, telemetry)
     print(f"error: {err}", file=sys.stderr)
-    return 3
-
-
-def _item_failed_abort(
-    args: argparse.Namespace, telemetry: SolverTelemetry, err: ItemFailedError
-) -> int:
-    """Finish a run whose work item exhausted its retries (exit 1).
-
-    The ``item.retry`` / ``item.failed`` bookkeeping is already in the
-    telemetry stream, so the file still closes cleanly and ``repro
-    report`` shows the full story.
-    """
-    if telemetry.live is not None:
-        telemetry.live.finish("failed")
-    _close_telemetry(args, telemetry)
-    print(f"error: {err}", file=sys.stderr)
-    return 1
+    return 3 if isinstance(err, StrictNumericsError) else 1
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -778,10 +782,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     executor = _executor_from_args(args, telemetry)
     try:
         result = MFGCPSolver(config, telemetry=telemetry, executor=executor).solve()
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
+    except (StrictNumericsError, ItemFailedError) as err:
+        return _abort_run(args, telemetry, err)
     _close_telemetry(args, telemetry)
     print(result.report.describe())
     t = result.grid.t
@@ -804,6 +806,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if _reject_non_positive(args, "--edps"):
+        return 2
     config = _config_from_args(args)
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not names:
@@ -823,10 +827,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 (name, summary["total"], summary["trading_income"],
                  summary["staleness_cost"])
             )
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
+    except (StrictNumericsError, ItemFailedError) as err:
+        return _abort_run(args, telemetry, err)
     _close_telemetry(args, telemetry)
     rows.sort(key=lambda r: -r[1])
     print(format_table(
@@ -843,10 +845,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
         with telemetry.span(f"experiment_{args.name}"):
             code = _run_experiment(args, telemetry, executor)
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
+    except (StrictNumericsError, ItemFailedError) as err:
+        return _abort_run(args, telemetry, err)
     _close_telemetry(args, telemetry)
     return code
 
@@ -1344,6 +1344,49 @@ def _replay_stream(args, config, n_edps, rate_per_edp, alpha, canned):
     )
 
 
+def _run_comparison(args, choice, all_names, noun, inputs, make_engine,
+                    render, export) -> int:
+    """The body ``serve`` and ``serve-net`` share.
+
+    Parses ``choice`` (``all`` or a comma list of ``all_names``), builds
+    the replayed ``(workload, stream)`` pair with ``inputs()``, and
+    compares every name on ``make_engine(workload, stream, telemetry,
+    executor)``.  Bad inputs exit 2, a strict-numerics abort 3 and an
+    exhausted work item 1; on success ``render(engine, reports)``
+    prints the tables and ``export(reports, directory)`` writes
+    ``--out``.
+    """
+    spec = choice.strip().lower()
+    names = list(all_names) if spec == "all" else [
+        s.strip() for s in spec.split(",") if s.strip()
+    ]
+    if not names:
+        print(f"error: no {noun} given", file=sys.stderr)
+        return 2
+    try:
+        workload, stream = inputs()
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    telemetry = _telemetry_from_args(args)
+    executor = _executor_from_args(args, telemetry)
+    try:
+        engine = make_engine(workload, stream, telemetry, executor)
+        reports = engine.compare(names)
+    except (StrictNumericsError, ItemFailedError) as err:
+        return _abort_run(args, telemetry, err)
+    except ValueError as err:
+        _close_telemetry(args, telemetry)
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    _close_telemetry(args, telemetry)
+    render(engine, reports)
+    if args.out is not None:
+        for path in export(reports, args.out):
+            print(f"  wrote {path}")
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the serve stack is only needed by this command.
     from repro.content import workloads
@@ -1352,13 +1395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if _reject_non_positive(args, "--edps", "--slots", "--contents",
                             "--batch-size"):
-        return 2
-    spec = args.policy.strip().lower()
-    names = list(POLICY_NAMES) if spec == "all" else [
-        s.strip() for s in spec.split(",") if s.strip()
-    ]
-    if not names:
-        print("error: no serving policy given", file=sys.stderr)
         return 2
     config = MFGCPConfig.fast()
     canned = {
@@ -1369,62 +1405,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "news_cycle": lambda: workloads.news_cycle(
             n_contents=args.contents, seed=args.seed)[0],
     }[args.workload]
-    try:
-        workload, stream = _replay_stream(
+
+    def make_engine(workload, stream, telemetry, executor):
+        return ServingEngine(
+            workload, args.edps, config=config,
+            capacity_fraction=args.capacity_fraction, shards=args.shards,
+            executor=executor, telemetry=telemetry,
+            batch_size=args.batch_size, stream=stream,
+            stream_chunk=args.stream_chunk,
+            stream_state_dir=(
+                stream_state_dir(args.checkpoint_dir) if args.checkpoint_dir
+                else None
+            ),
+        )
+
+    def render(engine, reports):
+        workload_label = (
+            f"stream:{args.stream}" if args.stream is not None else args.workload
+        )
+        print(format_table(
+            list(REPORT_HEADERS),
+            comparison_rows(reports),
+            title=(
+                f"Serving comparison ({workload_label}, M={args.edps}, "
+                f"{reports[0].requests} requests)"
+            ),
+        ))
+
+    return _run_comparison(
+        args, args.policy, POLICY_NAMES, "serving policy",
+        lambda: _replay_stream(
             args, config, args.edps,
             args.requests / (config.horizon * args.edps), args.zipf_alpha,
             canned,
-        )
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    telemetry = _telemetry_from_args(args)
-    executor = _executor_from_args(args, telemetry)
-    stream_state_dir = None
-    if getattr(args, "checkpoint_dir", None):
-        from repro.runtime.checkpoint import stream_state_dir as _state_dir
-
-        stream_state_dir = _state_dir(args.checkpoint_dir)
-    try:
-        engine = ServingEngine(
-            workload,
-            args.edps,
-            config=config,
-            capacity_fraction=args.capacity_fraction,
-            shards=args.shards,
-            executor=executor,
-            telemetry=telemetry,
-            batch_size=args.batch_size,
-            stream=stream,
-            stream_chunk=args.stream_chunk,
-            stream_state_dir=stream_state_dir,
-        )
-        reports = engine.compare(names)
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
-    except ValueError as err:
-        _close_telemetry(args, telemetry)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    _close_telemetry(args, telemetry)
-    workload_label = (
-        f"stream:{args.stream}" if args.stream is not None else args.workload
-    )
-    print(format_table(
-        list(REPORT_HEADERS),
-        comparison_rows(reports),
-        title=(
-            f"Serving comparison ({workload_label}, M={args.edps}, "
-            f"{reports[0].requests} requests)"
         ),
-    ))
-    if args.out is not None:
-        for path in export_serving_reports(reports, args.out):
-            print(f"  wrote {path}")
-    return 0
+        make_engine, render, export_serving_reports,
+    )
 
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
@@ -1443,79 +1459,52 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     if _reject_non_positive(args, "--slots", "--contents", "--replicas",
                             "--batch-size"):
         return 2
-    spec = args.strategy.strip().lower()
-    names = list(STRATEGY_NAMES) if spec == "all" else [
-        s.strip() for s in spec.split(",") if s.strip()
-    ]
-    if not names:
-        print("error: no placement strategy given", file=sys.stderr)
-        return 2
     try:
         topology = parse_topology(args.topology, seed=args.topology_seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     config = MFGCPConfig.fast()
-    try:
-        workload, stream = _replay_stream(
+
+    def make_engine(workload, stream, telemetry, executor):
+        return NetworkReplayEngine(
+            workload, topology, config=config,
+            capacity_fraction=args.capacity_fraction,
+            node_capacity_mb=args.node_capacity, n_replicas=args.replicas,
+            shards=args.shards, queue_capacity=args.queue_capacity,
+            queue_service_rate=args.queue_rate, executor=executor,
+            telemetry=telemetry, batch_size=args.batch_size, stream=stream,
+            stream_chunk=args.stream_chunk,
+        )
+
+    def render(engine, reports):
+        print(format_table(
+            list(NET_REPORT_HEADERS),
+            network_comparison_rows(reports),
+            title=(
+                f"Cache-network comparison ({topology.describe()}, "
+                f"{engine.node_capacity_mb:.0f} MB/node, "
+                f"{reports[0].requests} requests)"
+            ),
+        ))
+        if args.per_node:
+            for report in reports:
+                print(format_table(
+                    list(PER_NODE_HEADERS),
+                    report.per_node_rows(),
+                    title=f"Per-node breakdown — {report.strategy}",
+                ))
+
+    return _run_comparison(
+        args, args.strategy, STRATEGY_NAMES, "placement strategy",
+        lambda: _replay_stream(
             args, config, args.replicas * topology.n_receivers, args.rate,
             args.alpha,
             lambda: zipf_workload(n_contents=args.contents, alpha=args.alpha,
                                   rate_per_edp=args.rate, seed=args.seed),
-        )
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    telemetry = _telemetry_from_args(args)
-    executor = _executor_from_args(args, telemetry)
-    try:
-        engine = NetworkReplayEngine(
-            workload,
-            topology,
-            config=config,
-            capacity_fraction=args.capacity_fraction,
-            node_capacity_mb=args.node_capacity,
-            n_replicas=args.replicas,
-            shards=args.shards,
-            queue_capacity=args.queue_capacity,
-            queue_service_rate=args.queue_rate,
-            executor=executor,
-            telemetry=telemetry,
-            batch_size=args.batch_size,
-            stream=stream,
-            stream_chunk=args.stream_chunk,
-        )
-        reports = engine.compare(names)
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
-    except ValueError as err:
-        _close_telemetry(args, telemetry)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    _close_telemetry(args, telemetry)
-    print(format_table(
-        list(NET_REPORT_HEADERS),
-        network_comparison_rows(reports),
-        title=(
-            f"Cache-network comparison ({topology.describe()}, "
-            f"{engine.node_capacity_mb:.0f} MB/node, "
-            f"{reports[0].requests} requests)"
         ),
-    ))
-    if args.per_node:
-        for report in reports:
-            print(format_table(
-                list(PER_NODE_HEADERS),
-                report.per_node_rows(),
-                title=f"Per-node breakdown — {report.strategy}",
-            ))
-    if args.out is not None:
-        for path in export_network_reports(reports, args.out):
-            print(f"  wrote {path}")
-    return 0
+        make_engine, render, export_network_reports,
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -1559,8 +1548,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_stationary(args: argparse.Namespace) -> int:
     from repro.core.stationary import StationarySolver
 
-    config = _config_from_args(args)
-    result = StationarySolver(config, discount=args.discount).solve()
+    try:
+        solver = StationarySolver(_config_from_args(args), discount=args.discount)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    result = solver.solve()
     status = "converged" if result.converged else "NOT converged"
     print(f"stationary equilibrium {status} after {result.n_iterations} iterations")
     print(format_table(

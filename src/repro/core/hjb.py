@@ -242,9 +242,10 @@ class HJBSolver:
             rhs, _ = self._step_rhs(value_path[ti + 1], ctx)
             residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
             scale = 1.0 + float(np.max(np.abs(rhs)))
-            worst = max(worst, float(np.max(np.abs(residual))) / scale)
-            if not np.isfinite(worst):
+            ratio = float(np.max(np.abs(residual))) / scale
+            if not np.isfinite(ratio):
                 return float("nan")
+            worst = max(worst, ratio)
         return worst
 
     def solve(
@@ -539,10 +540,9 @@ class BatchedHJBSolver:
             residual = (value_paths[:, ti] - value_paths[:, ti + 1]) / grid.dt - rhs
             scale = 1.0 + np.max(np.abs(rhs), axis=(1, 2))
             ratio = np.max(np.abs(residual), axis=(1, 2)) / scale
-            # The scalar probe's builtin ``max``: only a strictly larger
-            # ratio replaces the running worst (a NaN ratio never does).
-            worst = np.where(ratio > worst, ratio, worst)
-        # The scalar probe stops at the first non-finite worst as NaN.
+            # A NaN ratio sticks, as it stops the scalar probe.
+            worst = np.maximum(worst, ratio)
+        # The scalar probe reports its first non-finite ratio as NaN.
         worst[~np.isfinite(worst)] = np.nan
         return worst
 

@@ -114,8 +114,8 @@ class StationarySolver:
         discount: float = 1.0,
         grid: Optional[StateGrid] = None,
     ) -> None:
-        if discount <= 0:
-            raise ValueError(f"discount must be positive, got {discount}")
+        if not 0.0 < discount < float("inf"):
+            raise ValueError(f"discount must be positive and finite, got {discount}")
         self.config = config
         self.discount = float(discount)
         self.grid = grid if grid is not None else build_grid(config)

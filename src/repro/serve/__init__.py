@@ -29,7 +29,6 @@ from repro.serve.engine import (
     replay_shard,
     stream_state_key,
 )
-from repro.serve.events import partition_edps
 from repro.serve.policies import (
     LFUPolicy,
     LRUPolicy,
@@ -91,7 +90,6 @@ __all__ = [
     "export_serving_reports",
     "make_policy",
     "make_stream",
-    "partition_edps",
     "replay_shard",
     "stream_state_key",
     "stream_workload",

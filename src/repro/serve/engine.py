@@ -38,6 +38,7 @@ Serving semantics (documented in ``docs/serving.md``)
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 from dataclasses import dataclass, replace
@@ -50,10 +51,15 @@ from repro.core.best_response import BatchedBestResponseIterator
 from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_batches
+from repro.runtime import (
+    ExecutionPlan,
+    ExecutorLike,
+    as_executor,
+    partition_batches,
+    partition_indices,
+)
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.serve.cache import EdgeCache
-from repro.serve.events import partition_edps
 from repro.serve.policies import ServingPolicy, make_policy
 from repro.serve.report import EDPServingStats, ServingReport
 from repro.serve.stream import RequestStream, make_stream
@@ -574,7 +580,256 @@ def solve_equilibrium_map(
     }
 
 
-class ServingEngine:
+class ReplayEngine:
+    """The orchestration every replay engine shares.
+
+    Holds the catalog geometry, request stream, executor and observer;
+    solves the per-content equilibria once; runs one replay as an
+    :class:`~repro.runtime.ExecutionPlan` of unit shards (EDPs or
+    replicas); compares policies on identical streams.  Subclasses
+    supply their spec, the module-level shard function they pass to
+    :meth:`_run_shards`, the policy factory and the report fold, and
+    name their telemetry in class data: ``_prefix`` (item labels
+    ``<prefix>:<name>:shard<i>``, spans ``<prefix>_replay_<name>`` and
+    ``<prefix>_solve_equilibria``, ``<prefix>_eq`` solve labels, the
+    ``<prefix>.shard_dropped`` diag), ``_phase`` (live phase format),
+    ``_kind`` (the diag's name key), ``_lanes`` (lane noun of errors)
+    and ``_hits_field`` (stats field of the live hit ratio).
+
+    Parameters every engine takes
+    -----------------------------
+    config:
+        MFG-CP model constants (latency, pricing, equilibrium solves);
+        defaults to the fast preset so ``mfg`` replays stay cheap.
+    n_slots, seed:
+        Trace resolution (the horizon is ``config.horizon``) and root
+        seed of the default stream.
+    shards:
+        Work-item count (defaults to ``min(units, 8)``); pure parallel
+        grain, never affects results.
+    executor, telemetry:
+        A :mod:`repro.runtime` backend (spec string, object or
+        ``None``) and the run's observer.
+    batch_size:
+        Most contents per batched equilibrium-solve work item of the
+        mfg policy.  Results are bit-identical for every width.
+    stream:
+        Optional :class:`~repro.serve.stream.RequestStream` with one
+        lane per EDP or receiver replica; it fixes the trace geometry
+        (slots, dt, seed, rate, timeliness, popularity), so ``n_slots``,
+        ``seed`` and the rate override must then stay at their
+        defaults.  Without one, the engine replays a
+        :class:`~repro.serve.stream.FixedPopularityStream` of the
+        workload's popularity and timeliness law at its own
+        ``n_slots``/``seed``/rate.
+    stream_chunk:
+        Chunk size in slots (``0`` = the whole trace as one chunk).
+        Pure memory grain — never affects results.
+    """
+
+    _prefix = ""
+    _phase = ""
+    _kind = ""
+    _lanes = ""
+    _hits_field = ""
+
+    def __init__(
+        self,
+        workload: Workload,
+        n_units: int,
+        n_lanes: int,
+        *,
+        config: Optional[MFGCPConfig],
+        n_slots: int,
+        rate: Optional[float],
+        rate_field: str,
+        seed: int,
+        shards: Optional[int],
+        executor: ExecutorLike,
+        telemetry: SolverTelemetry,
+        batch_size: int,
+        stream: Optional[RequestStream],
+        stream_chunk: int,
+    ) -> None:
+        if stream is not None and rate is not None:
+            raise ValueError(
+                f"{rate_field} and stream are mutually exclusive: a stream "
+                "fixes its own request rate"
+            )
+        if stream_chunk < 0:
+            raise ValueError(
+                f"stream_chunk must be non-negative, got {stream_chunk}"
+            )
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        self.workload = workload
+        self.config = config if config is not None else MFGCPConfig.fast()
+        self.executor = as_executor(executor)
+        self.telemetry = telemetry
+        self.batch_size = int(batch_size)
+        self._n_units = int(n_units)
+        self.shards = min(self._n_units, 8) if shards is None else int(shards)
+        if self.shards < 1:
+            raise ValueError(f"shards must be positive, got {shards}")
+
+        catalog = workload.catalog
+        if len(catalog) == 0:
+            raise ValueError("workload catalog has no contents")
+        self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
+        self.update_periods = tuple(float(c.update_period) for c in catalog)
+        if stream is None:
+            stream = make_stream(
+                "fixed",
+                n_edps=int(n_lanes),
+                n_slots=int(n_slots),
+                dt=self.config.horizon / int(n_slots),
+                rate_per_edp=(
+                    float(rate) if rate is not None
+                    else float(workload.requests.rate_per_edp)
+                ),
+                seed=int(seed),
+                timeliness=workload.timeliness_model,
+                shares=workload.popularity,
+            )
+        elif stream.n_edps != int(n_lanes):
+            raise ValueError(
+                f"stream covers {stream.n_edps} {self._lanes} but the engine "
+                f"needs {n_lanes}"
+            )
+        elif stream.n_contents != len(catalog):
+            raise ValueError(
+                f"stream catalog of {stream.n_contents} contents does not "
+                f"match the workload's {len(catalog)}"
+            )
+        self.stream = stream
+        self.stream_chunk = int(stream_chunk)
+        self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
+
+    def _capacity(self, fraction: float, absolute: Optional[float], field: str) -> float:
+        """Per-cache capacity in MB: ``absolute``, else ``fraction`` of
+        the catalog volume; it must be finite and hold some content."""
+        if absolute is None:
+            if not 0.0 < fraction <= 1.0:
+                raise ValueError(
+                    f"capacity_fraction must lie in (0, 1], got {fraction}"
+                )
+            capacity = fraction * sum(self.sizes_mb)
+        else:
+            capacity = float(absolute)
+            if not math.isfinite(capacity):
+                raise ValueError(f"{field} must be finite, got {capacity}")
+        if capacity < min(self.sizes_mb):
+            raise ValueError(
+                f"{field} {capacity:.1f} MB holds no content "
+                f"(smallest is {min(self.sizes_mb):.1f} MB)"
+            )
+        return capacity
+
+    def solve_equilibria(self) -> Dict[int, EquilibriumResult]:
+        """Per-content equilibria on this engine's executor (cached).
+
+        One solve per content of the engine config specialised to its
+        demand (:func:`equilibrium_configs`), so every engine replaying
+        the same workload reads the same equilibria.
+        """
+        if self._equilibria is None:
+            configs = equilibrium_configs(
+                self.config,
+                self.stream.popularity,
+                self.sizes_mb,
+                self.stream.rate_per_edp,
+                min(
+                    self.workload.timeliness_model.mean(),
+                    self.workload.timeliness_model.l_max,
+                ),
+            )
+            self._equilibria = solve_equilibrium_map(
+                configs,
+                executor=self.executor,
+                telemetry=self.telemetry,
+                batch_size=self.batch_size,
+                label_prefix=f"{self._prefix}_eq",
+                span=f"{self._prefix}_solve_equilibria",
+            )
+        return self._equilibria
+
+    def _run_shards(self, shard_fn, spec, item) -> list:
+        """Replay ``spec`` under ``item`` (a policy or strategy) in shards.
+
+        One work item per unit shard calls ``shard_fn(spec, item,
+        unit_ids)``; the per-unit stats come back flattened in unit
+        order.  Shards a skip/degrade fault policy dropped are left out
+        and reported by the ``<prefix>.shard_dropped`` diag.
+        """
+        shards = partition_indices(self._n_units, self.shards)
+        plan = ExecutionPlan.map(
+            shard_fn,
+            [(spec, item, shard) for shard in shards],
+            labels=[
+                f"{self._prefix}:{item.name}:shard{i}" for i in range(len(shards))
+            ],
+            accepts_telemetry=True,
+        )
+        live = self.telemetry.live
+        if live is not None:
+            live.set_phase(self._phase.format(item.name), total_items=len(plan))
+            chunk = self.stream_chunk or self.stream.n_slots
+            live.set_stream(
+                workload=type(self.stream).__name__,
+                chunk_slots=chunk,
+                n_chunks=self.stream.n_chunks(chunk),
+                expected_requests=self.stream.expected_total_requests(),
+            )
+
+        def _shard_progress(outcome) -> None:
+            # Live windowed views only; the report recomputes
+            # everything from the ordered outcomes.
+            if outcome.result is None:
+                return
+            for stats in outcome.result:
+                live.note_requests(
+                    stats.requests,
+                    hits=getattr(stats, self._hits_field),
+                    latency_s=stats.latency_s,
+                )
+
+        with self.telemetry.span(f"{self._prefix}_replay_{item.name}"):
+            outcomes = self.executor.run(
+                plan,
+                telemetry=self.telemetry,
+                progress=_shard_progress if live is not None else None,
+            )
+        lost = [i for i, shard in enumerate(outcomes) if shard is None]
+        if lost and self.telemetry.enabled:
+            # Report the hole rather than silently under-counting units.
+            self.telemetry.diag(
+                f"{self._prefix}.shard_dropped",
+                "warning",
+                value=float(len(lost)),
+                message=(
+                    f"{len(lost)} of {len(outcomes)} replay shards were "
+                    "dropped by the fault policy"
+                ),
+                **{self._kind: item.name},
+                shards=lost,
+            )
+        return [stats for shard in outcomes if shard is not None for stats in shard]
+
+    def compare(self, items: Sequence) -> list:
+        """Replay identical request streams under several policies.
+
+        Equilibria are solved first when ``mfg`` is among them, so every
+        report shares one price path and is comparable request for
+        request.
+        """
+        if not items:
+            raise ValueError(f"compare needs at least one {self._kind}")
+        if any(isinstance(i, str) and i.strip().lower() == "mfg" for i in items):
+            self.solve_equilibria()
+        return [self.replay(item) for item in items]
+
+
+class ServingEngine(ReplayEngine):
     """Replay a workload against a population of EDP edge caches.
 
     Parameters
@@ -583,46 +838,27 @@ class ServingEngine:
         A :class:`repro.content.workloads.Workload` (catalog,
         popularity, timeliness law, request process).
     n_edps:
-        Population size ``M``.
-    config:
-        MFG-CP model constants (latency, pricing, equilibrium solves);
-        defaults to the fast preset so ``mfg`` replays stay cheap.
-    n_slots:
-        Trace resolution; the replay horizon is ``config.horizon``.
+        Population size ``M``; one stream lane and one cache per EDP.
     capacity_fraction / capacity_mb:
         Per-EDP edge storage, as a fraction of the catalog volume or
         absolute (absolute wins when both are given).
     rate_per_edp:
         Request intensity override; defaults to the workload's own.
-    seed:
-        Root seed of the request stream.
-    shards:
-        Replay shard count (defaults to ``min(n_edps, 8)``); pure
-        parallel grain, never affects results.
-    executor:
-        A :mod:`repro.runtime` backend, spec string, or ``None``.
-    telemetry:
-        The run's observer (shared with equilibrium solves).
-    batch_size:
-        Most contents per batched equilibrium-solve work item of the
-        mfg policy.  Results are bit-identical for every width.
-    stream:
-        Optional :class:`~repro.serve.stream.RequestStream` fixing the
-        trace geometry (slots, dt, seed, rate, timeliness, popularity);
-        the ``n_slots``, ``seed``, and ``rate_per_edp`` parameters must
-        then be left at their defaults.  Without one, the engine
-        replays a :class:`~repro.serve.stream.FixedPopularityStream`
-        of the workload's popularity and timeliness law at its own
-        ``n_slots``/``seed``/rate.  Either way replays are bit-stable
-        across chunk sizes, shard counts, and backends.
-    stream_chunk:
-        Chunk size in slots (``0`` = the whole trace as one chunk).
-        Pure memory grain — never affects results.
     stream_state_dir:
         Optional directory for chunk-granular resume state; pair it
         with a checkpointing executor so an interrupted replay resumes
         mid-shard *and* mid-EDP.
+
+    The other parameters (``config``, ``n_slots``, ``seed``, ``shards``,
+    ``executor``, ``telemetry``, ``batch_size``, ``stream``,
+    ``stream_chunk``) are those of :class:`ReplayEngine`.
     """
+
+    _prefix = "serve"
+    _phase = "serve:replay:{}"
+    _kind = "policy"
+    _lanes = "EDPs"
+    _hits_field = "hits"
 
     def __init__(
         self,
@@ -645,110 +881,21 @@ class ServingEngine:
     ) -> None:
         if n_edps < 1:
             raise ValueError(f"need at least one EDP, got {n_edps}")
-        if stream is not None and rate_per_edp is not None:
-            raise ValueError(
-                "rate_per_edp and stream are mutually exclusive: a stream "
-                "fixes its own request rate"
-            )
-        if stream is not None and stream.n_edps != int(n_edps):
-            raise ValueError(
-                f"stream covers {stream.n_edps} EDPs but the engine was "
-                f"asked for {n_edps}"
-            )
-        if stream_chunk < 0:
-            raise ValueError(
-                f"stream_chunk must be non-negative, got {stream_chunk}"
-            )
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = int(batch_size)
-        if not 0.0 < capacity_fraction <= 1.0 and capacity_mb is None:
-            raise ValueError(
-                f"capacity_fraction must lie in (0, 1], got {capacity_fraction}"
-            )
-        self.workload = workload
-        self.config = config if config is not None else MFGCPConfig.fast()
         self.n_edps = int(n_edps)
-        self.executor = as_executor(executor)
-        self.telemetry = telemetry
-        self.shards = min(self.n_edps, 8) if shards is None else int(shards)
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-
-        catalog = workload.catalog
-        if len(catalog) == 0:
-            raise ValueError("workload catalog has no contents")
-        self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
-        self.update_periods = tuple(float(c.update_period) for c in catalog)
-        total = sum(self.sizes_mb)
-        self.capacity_mb = (
-            float(capacity_mb) if capacity_mb is not None
-            else capacity_fraction * total
+        super().__init__(
+            workload, self.n_edps, self.n_edps,
+            config=config, n_slots=n_slots, rate=rate_per_edp,
+            rate_field="rate_per_edp", seed=seed, shards=shards,
+            executor=executor, telemetry=telemetry, batch_size=batch_size,
+            stream=stream, stream_chunk=stream_chunk,
         )
-        if self.capacity_mb < min(self.sizes_mb):
-            raise ValueError(
-                f"capacity {self.capacity_mb:.1f} MB holds no content "
-                f"(smallest is {min(self.sizes_mb):.1f} MB)"
-            )
-        if stream is None:
-            stream = make_stream(
-                "fixed",
-                n_edps=self.n_edps,
-                n_slots=int(n_slots),
-                dt=self.config.horizon / int(n_slots),
-                rate_per_edp=(
-                    float(rate_per_edp) if rate_per_edp is not None
-                    else float(workload.requests.rate_per_edp)
-                ),
-                seed=int(seed),
-                timeliness=workload.timeliness_model,
-                shares=workload.popularity,
-            )
-        elif stream.n_contents != len(catalog):
-            raise ValueError(
-                f"stream catalog of {stream.n_contents} contents does not "
-                f"match the workload's {len(catalog)}"
-            )
-        self.stream = stream
-        self.stream_chunk = int(stream_chunk)
+        self.capacity_mb = self._capacity(
+            capacity_fraction, capacity_mb, "capacity_mb"
+        )
         self.stream_state_dir = (
             None if stream_state_dir is None else os.fspath(stream_state_dir)
         )
-        self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
 
-    # ------------------------------------------------------------------
-    # Equilibria (the mfg policy's input)
-    # ------------------------------------------------------------------
-    def solve_equilibria(self) -> Dict[int, EquilibriumResult]:
-        """Per-content equilibria on this engine's executor (cached).
-
-        Each content gets the engine config specialised to its
-        popularity share, size, and expected per-EDP request rate —
-        the same per-content independence the Alg. 1 epoch loop
-        exploits, fanned out through the runtime.
-        """
-        if self._equilibria is None:
-            configs = equilibrium_configs(
-                self.config,
-                self.stream.popularity,
-                self.sizes_mb,
-                self.stream.rate_per_edp,
-                min(
-                    self.workload.timeliness_model.mean(),
-                    self.workload.timeliness_model.l_max,
-                ),
-            )
-            self._equilibria = solve_equilibrium_map(
-                configs,
-                executor=self.executor,
-                telemetry=self.telemetry,
-                batch_size=self.batch_size,
-            )
-        return self._equilibria
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
     def build_policy(self, name: str) -> ServingPolicy:
         """Instantiate a policy by name (solving equilibria for mfg)."""
         key = str(name).strip().lower()
@@ -820,68 +967,7 @@ class ServingEngine:
             policy if isinstance(policy, ServingPolicy)
             else self.build_policy(policy)
         )
-        spec = self.spec()
-        shards = partition_edps(self.n_edps, self.shards)
-        plan = ExecutionPlan.map(
-            replay_shard,
-            [(spec, policy_obj, shard) for shard in shards],
-            labels=[
-                f"serve:{policy_obj.name}:shard{i}" for i in range(len(shards))
-            ],
-            accepts_telemetry=True,
-        )
-        live = self.telemetry.live
-        if live is not None:
-            live.set_phase(
-                f"serve:replay:{policy_obj.name}", total_items=len(plan)
-            )
-            chunk = self.stream_chunk or self.stream.n_slots
-            live.set_stream(
-                workload=type(self.stream).__name__,
-                chunk_slots=chunk,
-                n_chunks=self.stream.n_chunks(chunk),
-                expected_requests=self.stream.expected_total_requests(),
-            )
-
-        def _shard_progress(outcome) -> None:
-            # Fold each landed shard's serving counters into the live
-            # windowed views (recent hit ratio, latency sketch).  Pure
-            # side channel — the report below recomputes everything
-            # from the ordered outcomes.
-            if live is None or outcome.result is None:
-                return
-            for stats in outcome.result:
-                live.note_requests(
-                    stats.requests, hits=stats.hits, latency_s=stats.latency_s
-                )
-
-        with self.telemetry.span(f"serve_replay_{policy_obj.name}"):
-            outcomes = self.executor.run(
-                plan,
-                telemetry=self.telemetry,
-                progress=_shard_progress if live is not None else None,
-            )
-        lost = [i for i, shard in enumerate(outcomes) if shard is None]
-        if lost and self.telemetry.enabled:
-            # A skip/degrade fault policy dropped whole shards; report
-            # the hole rather than silently under-counting EDPs.
-            self.telemetry.diag(
-                "serve.shard_dropped",
-                "warning",
-                value=float(len(lost)),
-                message=(
-                    f"{len(lost)} of {len(outcomes)} replay shards were "
-                    "dropped by the fault policy"
-                ),
-                policy=policy_obj.name,
-                shards=lost,
-            )
-        per_edp = tuple(
-            stats
-            for shard in outcomes
-            if shard is not None
-            for stats in shard
-        )
+        per_edp = tuple(self._run_shards(replay_shard, self.spec(), policy_obj))
         report = ServingReport(
             policy=policy_obj.name,
             n_slots=self.stream.n_slots,
@@ -904,21 +990,3 @@ class ServingEngine:
                 backhaul_mb=report.backhaul_mb,
             )
         return report
-
-    def compare(
-        self, policies: Sequence[Union[str, ServingPolicy]]
-    ) -> List[ServingReport]:
-        """Replay the same trace under several policies.
-
-        Equilibria are solved up front when ``mfg`` is among the
-        policies so every report shares one price path; every replay
-        consumes identical per-EDP request streams (same root seed),
-        making the reports directly comparable request for request.
-        """
-        if not policies:
-            raise ValueError("no policies to compare")
-        if any(
-            isinstance(p, str) and p.strip().lower() == "mfg" for p in policies
-        ):
-            self.solve_equilibria()
-        return [self.replay(policy) for policy in policies]

@@ -40,18 +40,18 @@ Semantics (documented in ``docs/serving.md``)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.content.workloads import Workload
-from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_indices
+from repro.runtime import ExecutorLike
 from repro.serve.cache import EdgeCache
-from repro.serve.engine import equilibrium_configs, solve_equilibrium_map
+from repro.serve.engine import ReplayEngine
 from repro.serve.net.queue import AdmissionQueue
 from repro.serve.net.report import (
     NetworkReplayStats,
@@ -64,7 +64,7 @@ from repro.serve.net.strategies import (
     make_strategy,
 )
 from repro.serve.net.topology import CacheNetworkTopology, parse_topology
-from repro.serve.stream import RequestStream, make_stream
+from repro.serve.stream import RequestStream
 
 
 @dataclass(frozen=True)
@@ -410,7 +410,7 @@ def replay_network_shard(
     return results
 
 
-class NetworkReplayEngine:
+class NetworkReplayEngine(ReplayEngine):
     """Replay a workload through a cache network under on-path strategies.
 
     Parameters
@@ -421,11 +421,6 @@ class NetworkReplayEngine:
     topology:
         A :class:`CacheNetworkTopology` or a grammar spec
         (``"tree:2x4"``, ``"path:6"``, ``"ring:8"``, ``"mesh:12x3"``).
-    config:
-        MFG-CP model constants (horizon, equilibrium solves); defaults
-        to the fast preset so ``mfg`` replays stay cheap.
-    n_slots:
-        Trace resolution; the replay horizon is ``config.horizon``.
     capacity_fraction / node_capacity_mb:
         Per-router cache size, as a fraction of the catalog volume or
         absolute (absolute wins when both are given).  The network's
@@ -436,33 +431,24 @@ class NetworkReplayEngine:
         workload's own per-EDP rate.
     n_replicas:
         Independent full-network replays averaged into one report;
-        also the parallel grain (replicas shard across workers).
-    shards:
-        Work-item count (defaults to ``min(n_replicas, 8)``); pure
-        parallel grain, never affects results.
-    seed / topology_seed:
-        Root seed for request streams / MESH placement geometry.
+        also the parallel grain (replicas shard across workers).  A
+        stream needs ``n_replicas * n_receivers`` lanes.
+    topology_seed:
+        MESH placement geometry seed.
     queue_capacity, queue_service_rate:
         Admission-queue shape per node; the rate defaults to each
         node's fair share of the network's total request rate.
-    executor, telemetry:
-        A :mod:`repro.runtime` backend (spec string or object) and the
-        run's observer.
-    batch_size:
-        Most contents per batched equilibrium-solve work item of the
-        mfg strategy (bit-identical results for every width).
-    stream / stream_chunk:
-        Optional :class:`~repro.serve.stream.RequestStream` providing
-        ``n_replicas * n_receivers`` lanes; it fixes the trace geometry
-        (``n_slots``, ``dt``, rate, seed), so the matching engine
-        arguments must be left at their defaults.  Without one, the
-        engine replays a
-        :class:`~repro.serve.stream.FixedPopularityStream` of the
-        workload's popularity and timeliness law at its own
-        ``n_slots``/``seed``/rate.  ``stream_chunk`` is the chunk size
-        in slots (0 = whole replay in one chunk per lane); it never
-        affects results.
+
+    The other parameters (``config``, ``n_slots``, ``seed``, ``shards``,
+    ``executor``, ``telemetry``, ``batch_size``, ``stream``,
+    ``stream_chunk``) are those of :class:`~repro.serve.engine.ReplayEngine`.
     """
+
+    _prefix = "net"
+    _phase = "serve-net:{}"
+    _kind = "strategy"
+    _lanes = "lanes"
+    _hits_field = "cache_hits"
 
     def __init__(
         self,
@@ -488,130 +474,37 @@ class NetworkReplayEngine:
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be positive, got {n_replicas}")
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if not 0.0 < capacity_fraction <= 1.0 and node_capacity_mb is None:
-            raise ValueError(
-                f"capacity_fraction must lie in (0, 1], got {capacity_fraction}"
-            )
-        if stream_chunk < 0:
-            raise ValueError(
-                f"stream_chunk must be non-negative, got {stream_chunk}"
-            )
-        if stream is not None and rate_per_receiver is not None:
-            raise ValueError(
-                "rate_per_receiver cannot combine with a stream; the "
-                "stream fixes rate_per_edp"
-            )
-        self.workload = workload
-        self.config = config if config is not None else MFGCPConfig.fast()
         self.topology = (
             topology
             if isinstance(topology, CacheNetworkTopology)
             else parse_topology(topology, seed=int(topology_seed))
         )
         self.n_replicas = int(n_replicas)
-        self.shards = (
-            min(self.n_replicas, 8) if shards is None else int(shards)
-        )
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        self.executor = as_executor(executor)
-        self.telemetry = telemetry
-        self.batch_size = int(batch_size)
-
-        catalog = workload.catalog
-        if len(catalog) == 0:
-            raise ValueError("workload catalog has no contents")
-        self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
-        self.update_periods = tuple(float(c.update_period) for c in catalog)
-        total = sum(self.sizes_mb)
-        self.node_capacity_mb = (
-            float(node_capacity_mb)
-            if node_capacity_mb is not None
-            else capacity_fraction * total
-        )
-        if self.node_capacity_mb < min(self.sizes_mb):
-            raise ValueError(
-                f"node capacity {self.node_capacity_mb:.1f} MB holds no "
-                f"content (smallest is {min(self.sizes_mb):.1f} MB)"
-            )
         n_receivers = self.topology.n_receivers
-        if stream is None:
-            stream = make_stream(
-                "fixed",
-                n_edps=self.n_replicas * n_receivers,
-                n_slots=int(n_slots),
-                dt=self.config.horizon / int(n_slots),
-                rate_per_edp=(
-                    float(rate_per_receiver)
-                    if rate_per_receiver is not None
-                    else float(workload.requests.rate_per_edp)
-                ),
-                seed=int(seed),
-                timeliness=workload.timeliness_model,
-                shares=workload.popularity,
-            )
-        if stream.n_edps != self.n_replicas * n_receivers:
-            raise ValueError(
-                f"stream provides {stream.n_edps} lanes; "
-                f"{self.n_replicas} replicas x {n_receivers} receivers "
-                f"need {self.n_replicas * n_receivers}"
-            )
-        if stream.n_contents != len(catalog):
-            raise ValueError(
-                f"stream serves {stream.n_contents} contents but the "
-                f"workload catalog holds {len(catalog)}"
-            )
-        self.stream = stream
-        self.stream_chunk = int(stream_chunk)
+        super().__init__(
+            workload, self.n_replicas, self.n_replicas * n_receivers,
+            config=config, n_slots=n_slots, rate=rate_per_receiver,
+            rate_field="rate_per_receiver", seed=seed, shards=shards,
+            executor=executor, telemetry=telemetry, batch_size=batch_size,
+            stream=stream, stream_chunk=stream_chunk,
+        )
+        self.node_capacity_mb = self._capacity(
+            capacity_fraction, node_capacity_mb, "node_capacity_mb"
+        )
         self.queue_capacity = int(queue_capacity)
-        self.queue_service_rate = (
-            float(queue_service_rate)
-            if queue_service_rate is not None
+        if queue_service_rate is None:
             # Fair share of the network's total request rate per node:
             # admission keeps up on average, bursts still reject.
-            else max(
-                stream.rate_per_edp * n_receivers / len(self.topology.routers),
-                1e-9,
+            queue_service_rate = max(
+                self.stream.rate_per_edp * n_receivers / len(self.topology.routers), 1e-9
             )
-        )
-        self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
-
-    # ------------------------------------------------------------------
-    # Equilibria (the mfg strategy's input)
-    # ------------------------------------------------------------------
-    def solve_equilibria(self) -> Dict[int, EquilibriumResult]:
-        """Per-content equilibria on this engine's executor (cached).
-
-        Uses the exact helpers :class:`~repro.serve.engine.ServingEngine`
-        uses, so a network replay and a single-cache replay of the same
-        workload read the same equilibrium.
-        """
-        if self._equilibria is None:
-            configs = equilibrium_configs(
-                self.config,
-                self.stream.popularity,
-                self.sizes_mb,
-                self.stream.rate_per_edp,
-                min(
-                    self.workload.timeliness_model.mean(),
-                    self.workload.timeliness_model.l_max,
-                ),
+        elif not 0.0 < queue_service_rate < math.inf:
+            raise ValueError(
+                "queue_service_rate must be positive and finite, got "
+                f"{queue_service_rate}"
             )
-            self._equilibria = solve_equilibrium_map(
-                configs,
-                executor=self.executor,
-                telemetry=self.telemetry,
-                batch_size=self.batch_size,
-                label_prefix="net_eq",
-                span="net_solve_equilibria",
-            )
-        return self._equilibria
+        self.queue_service_rate = float(queue_service_rate)
 
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
     def build_strategy(self, name: str) -> PlacementStrategy:
         """Instantiate a strategy by name (solving equilibria for mfg)."""
         key = str(name).strip().lower()
@@ -640,81 +533,19 @@ class NetworkReplayEngine:
             chunk_slots=self.stream_chunk,
         )
 
-    def replay(
-        self, strategy: Union[str, PlacementStrategy]
-    ) -> NetworkServingReport:
+    def replay(self, strategy: Union[str, PlacementStrategy]) -> NetworkServingReport:
         """Replay all replicas under one placement strategy."""
         strategy_obj = (
-            strategy
-            if isinstance(strategy, PlacementStrategy)
+            strategy if isinstance(strategy, PlacementStrategy)
             else self.build_strategy(strategy)
         )
-        spec = self.spec()
-        shards = partition_indices(self.n_replicas, self.shards)
-        plan = ExecutionPlan.map(
-            replay_network_shard,
-            [(spec, strategy_obj, shard) for shard in shards],
-            labels=[
-                f"net:{strategy_obj.name}:shard{i}" for i in range(len(shards))
-            ],
-            accepts_telemetry=True,
-        )
-        live = self.telemetry.live
-        if live is not None:
-            live.set_phase(
-                f"serve-net:{strategy_obj.name}", total_items=len(plan)
-            )
-            chunk = self.stream_chunk or self.stream.n_slots
-            live.set_stream(
-                workload=type(self.stream).__name__,
-                chunk_slots=chunk,
-                n_chunks=self.stream.n_chunks(chunk),
-                expected_requests=self.stream.expected_total_requests(),
-            )
-
-        def _shard_progress(outcome) -> None:
-            # Fold each landed shard's counters into the live windowed
-            # views (recent hit ratio, latency sketch).  Pure side
-            # channel — the report below recomputes everything from
-            # the ordered outcomes.
-            if live is None or outcome.result is None:
-                return
-            for stats in outcome.result:
-                live.note_requests(
-                    stats.requests,
-                    hits=stats.cache_hits,
-                    latency_s=stats.latency_s,
-                )
-
-        with self.telemetry.span(f"net_replay_{strategy_obj.name}"):
-            outcomes = self.executor.run(
-                plan,
-                telemetry=self.telemetry,
-                progress=_shard_progress if live is not None else None,
-            )
-        lost = [i for i, shard in enumerate(outcomes) if shard is None]
-        if lost and self.telemetry.enabled:
-            # A skip/degrade fault policy dropped whole shards; report
-            # the hole rather than silently under-counting replicas.
-            self.telemetry.diag(
-                "net.shard_dropped",
-                "warning",
-                value=float(len(lost)),
-                message=(
-                    f"{len(lost)} of {len(outcomes)} network shards were "
-                    "dropped by the fault policy"
-                ),
-                strategy=strategy_obj.name,
-                shards=lost,
-            )
         # Fold per-replica stats in global replica order (item order
         # preserves it): float sums are then grouping-independent.
         totals = NetworkReplayStats.empty(self.topology)
-        for shard_stats in outcomes:
-            if shard_stats is None:
-                continue
-            for replica_stats in shard_stats:
-                totals.merge(replica_stats)
+        for replica_stats in self._run_shards(
+            replay_network_shard, self.spec(), strategy_obj
+        ):
+            totals.merge(replica_stats)
         report = NetworkServingReport(
             strategy=strategy_obj.name,
             topology=self.topology.name,
@@ -744,22 +575,3 @@ class NetworkReplayEngine:
                 rejection_rate=report.rejection_rate,
             )
         return report
-
-    def compare(
-        self, strategies: Sequence[Union[str, PlacementStrategy]]
-    ) -> List[NetworkServingReport]:
-        """Replay identical request streams under several strategies.
-
-        Equilibria are solved up front when ``mfg`` is among the
-        strategies; every replay consumes identical per-receiver
-        request streams (same root seed), so reports are directly
-        comparable request for request at equal total cache budget.
-        """
-        if not strategies:
-            raise ValueError("no strategies to compare")
-        if any(
-            isinstance(s, str) and s.strip().lower() == "mfg"
-            for s in strategies
-        ):
-            self.solve_equilibria()
-        return [self.replay(strategy) for strategy in strategies]

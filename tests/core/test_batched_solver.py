@@ -341,9 +341,11 @@ class TestPerLaneDiagnostics:
             for b, cfg in enumerate(configs)
         ]
         values, _ = hjb.solve(mean_fields)
-        # A non-finite lane is reported as NaN, as the scalar probe does.
+        # A non-finite lane is reported as NaN, as the scalar probe does:
+        # an inf cell, and a NaN cell in a sampled slice (slice 11 of 12).
         values[2, 3, 1, 1] = np.inf
-        lanes = np.array([2, 0])
+        values[0, 11, 2, 5] = np.nan
+        lanes = np.array([2, 0, 1])
         with np.errstate(invalid="ignore"):
             norms = hjb.residual_norms(
                 values[lanes], [mean_fields[b] for b in lanes], lanes=lanes
@@ -356,7 +358,8 @@ class TestPerLaneDiagnostics:
             assert norms[j] == expected or (
                 np.isnan(norms[j]) and np.isnan(expected)
             ), b
-        assert np.isnan(norms[0])
+        assert np.isnan(norms[0]) and np.isnan(norms[1])
+        assert np.isfinite(norms[2])
 
     def test_strict_numerics_failure_names_content(self):
         # A lane-tagged telemetry escalation must say which content

@@ -88,6 +88,9 @@ class TestPartitionIndices:
         groups = partition_indices(2, 5)
         assert groups == [(0,), (1,)]
 
+    def test_single_group_holds_every_index(self):
+        assert partition_indices(4, 1) == [(0, 1, 2, 3)]
+
     def test_zero_items_yield_zero_groups(self):
         # Regression: this used to raise through the modulo arithmetic;
         # an empty work list now partitions to an empty shard list.

@@ -172,6 +172,10 @@ def test_warmup_slots_apply_to_canned_workloads(capsys):
         ["serve-net", "--rate", "-1"],
         ["serve-net", "--rate", "nan"],
         ["serve-net", "--stream", "zipf", "--rate", "inf"],
+        ["serve-net", "--node-capacity", "nan"],
+        ["serve-net", "--node-capacity", "inf"],
+        ["serve-net", "--queue-rate", "nan"],
+        ["serve-net", "--queue-rate", "inf"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -181,7 +185,10 @@ def test_bad_values_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    field = {"--seed": "seed", "--stream-chunk": "stream_chunk"}.get(
-        argv[-2], "rate_per_edp"
-    )
+    field = {
+        "--seed": "seed",
+        "--stream-chunk": "stream_chunk",
+        "--node-capacity": "node_capacity_mb",
+        "--queue-rate": "queue_service_rate",
+    }.get(argv[-2], "rate_per_edp")
     assert field in errors[0]

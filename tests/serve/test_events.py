@@ -1,4 +1,4 @@
-"""Tests for the canned-workload request source and EDP sharding.
+"""Tests for the canned-workload request source.
 
 Canned scenario workloads replay through a
 :class:`~repro.serve.stream.FixedPopularityStream` built from the
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.content.timeliness import TimelinessModel
-from repro.serve import FixedPopularityStream, make_stream, partition_edps
+from repro.serve import FixedPopularityStream, make_stream
 
 
 def make_source(n_edps=4, n_slots=6, seed=5, rate=20.0):
@@ -97,34 +97,3 @@ class TestTraceSource:
             )
         with pytest.raises(IndexError, match="out of range"):
             make_source(n_edps=3).request_rng(3, 0)
-
-
-class TestPartition:
-    def test_covers_every_edp_once(self):
-        shards = partition_edps(10, 3)
-        flat = [e for shard in shards for e in shard]
-        assert flat == list(range(10))
-
-    def test_near_even_sizes(self):
-        sizes = [len(s) for s in partition_edps(10, 3)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_edps_collapses(self):
-        shards = partition_edps(3, 8)
-        assert len(shards) == 3
-        assert all(len(s) == 1 for s in shards)
-
-    def test_single_shard(self):
-        assert partition_edps(4, 1) == [(0, 1, 2, 3)]
-
-    def test_zero_edps_yield_zero_shards(self):
-        # An empty population shards to an empty plan — the engine
-        # still refuses to *run* with no EDPs, but partitioning is
-        # well defined (the fig-sweep runners rely on this).
-        assert partition_edps(0, 2) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="negative"):
-            partition_edps(-1, 2)
-        with pytest.raises(ValueError, match="shard"):
-            partition_edps(4, 0)

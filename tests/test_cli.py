@@ -489,9 +489,40 @@ class TestStationaryCommand:
         assert "stationary equilibrium converged" in out
         assert "stationary price" in out
 
-    def test_rejects_bad_discount(self):
-        with pytest.raises(ValueError, match="discount"):
-            main(["stationary", "--fast", "--discount", "0"])
+    def test_rejects_bad_discount(self, capsys):
+        assert main(["stationary", "--fast", "--discount", "0"]) == 2
+        assert "discount" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["solve", "--fast", "--eta1", "-1"], "eta1"),
+        (["solve", "--fast", "--eta1", "nan"], "--eta1"),
+        (["solve", "--fast", "--eta1", "inf"], "--eta1"),
+        (["solve", "--fast", "--popularity", "2"], "popularity"),
+        (["solve", "--fast", "--popularity", "nan"], "--popularity"),
+        (["solve", "--fast", "--content-size", "0"], "content_size"),
+        (["solve", "--fast", "--content-size", "nan"], "--content-size"),
+        (["verify", "--fast", "--eta1", "-1"], "eta1"),
+        (["simulate", "--edps", "0"], "--edps"),
+        (["stationary", "--discount", "0"], "discount"),
+        (["stationary", "--fast", "--discount", "nan"], "discount"),
+        (["stationary", "--fast", "--discount", "inf"], "discount"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_config_flag_errors_are_usage_errors(argv, field, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert field in errors[0]
 
 
 class TestVerifyCommand:
