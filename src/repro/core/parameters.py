@@ -19,6 +19,7 @@ Two parameter records live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
@@ -209,12 +210,20 @@ class MFGCPConfig:
     damping: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}"
+            )
         if self.n_time_steps < 1:
             raise ValueError(f"n_time_steps must be positive, got {self.n_time_steps}")
-        if self.content_size <= 0:
-            raise ValueError(f"content_size must be positive, got {self.content_size}")
+        if not 0.0 < self.content_size < math.inf:
+            raise ValueError(
+                f"content_size must be positive and finite, got {self.content_size}"
+            )
+        if not 0.0 <= self.eta1 < math.inf:
+            raise ValueError(
+                f"eta1 must be non-negative and finite, got {self.eta1}"
+            )
         if self.n_h < 3 or self.n_q < 3:
             raise ValueError("grid needs at least 3 points per dimension")
         if self.n_edps < 1:
@@ -231,8 +240,10 @@ class MFGCPConfig:
             raise ValueError(f"demand_decay must be non-negative, got {self.demand_decay}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
 

@@ -4,6 +4,10 @@ An :class:`EdgeCache` models one EDP's content store at whole-content
 granularity (the classical simulator abstraction; cf. the icarus line
 of cache simulators).  The cache knows *mechanics* only — what is
 stored, how full it is, when each copy was fetched and last used.
+Occupancy is a running total that :meth:`EdgeCache.store` and
+:meth:`EdgeCache.evict` keep, so the room check on the request path is
+O(1); :meth:`EdgeCache.audit` recomputes it from the entries for the
+replay kernels' invariant checks.
 *Decisions* (admit? evict whom? refresh when?) belong to the policies
 in :mod:`repro.serve.policies`; the split keeps every policy honest
 against identical bookkeeping.
@@ -11,8 +15,12 @@ against identical bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
+
+#: Relative slack (of capacity) of the occupancy invariant checks.
+OCCUPANCY_RTOL = 1e-9
 
 
 @dataclass
@@ -56,24 +64,28 @@ class EdgeCache:
     entries:
         Cached copies by content index, in admission order (python
         dicts preserve insertion order, which policies exploit for
-        deterministic tie-breaking).
+        deterministic tie-breaking).  Add and drop copies through
+        :meth:`store` and :meth:`evict` only: they keep the running
+        occupancy total, which starts from the entries passed here.
     """
 
     capacity_mb: float
     entries: Dict[int, CacheEntry] = field(default_factory=dict)
+    _used_mb: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity_mb <= 0:
             raise ValueError(f"capacity_mb must be positive, got {self.capacity_mb}")
+        self._used_mb = sum(entry.size_mb for entry in self.entries.values())
 
     @property
     def used_mb(self) -> float:
-        """Bytes currently held."""
-        return sum(entry.size_mb for entry in self.entries.values())
+        """Bytes currently held (the running total)."""
+        return self._used_mb
 
     @property
     def free_mb(self) -> float:
-        return self.capacity_mb - self.used_mb
+        return self.capacity_mb - self._used_mb
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,7 +102,7 @@ class EdgeCache:
 
     def has_room(self, size_mb: float) -> bool:
         """Whether ``size_mb`` fits without eviction."""
-        return size_mb <= self.free_mb + 1e-9
+        return size_mb <= self.capacity_mb - self._used_mb + 1e-9
 
     def fits(self, size_mb: float) -> bool:
         """Whether ``size_mb`` could ever fit (capacity bound)."""
@@ -111,6 +123,7 @@ class EdgeCache:
             content=content, size_mb=size_mb, fetched_at=t, last_used=t
         )
         self.entries[content] = entry
+        self._used_mb += size_mb
         return entry
 
     def evict(self, content: int) -> CacheEntry:
@@ -118,4 +131,31 @@ class EdgeCache:
         entry = self.entries.pop(content, None)
         if entry is None:
             raise KeyError(f"content {content} is not cached")
+        # An emptied cache restarts the total at an exact zero, so
+        # rounding never accumulates across fill cycles.
+        self._used_mb = self._used_mb - entry.size_mb if self.entries else 0.0
         return entry
+
+    def audit(self) -> Tuple[float, Optional[str]]:
+        """Recompute occupancy from the entries and check it.
+
+        Returns the recomputed MB and ``None``, or a description of the
+        broken invariant: occupancy over capacity, or a running total
+        that disagrees with the entries (a copy added or dropped behind
+        :meth:`store`/:meth:`evict`).  Both allow ``OCCUPANCY_RTOL``
+        of capacity for rounding.  O(len(entries)); the replay kernels
+        call it once per chunk or replica, never per request.
+        """
+        held = math.fsum(entry.size_mb for entry in self.entries.values())
+        slack = OCCUPANCY_RTOL * self.capacity_mb
+        if held > self.capacity_mb + slack:
+            return held, (
+                f"occupancy {held:.6g} MB exceeds capacity "
+                f"{self.capacity_mb:.6g} MB"
+            )
+        if abs(held - self._used_mb) > slack:
+            return held, (
+                f"running occupancy total {self._used_mb:.6g} MB disagrees "
+                f"with the {held:.6g} MB the entries hold"
+            )
+        return held, None

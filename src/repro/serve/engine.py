@@ -62,7 +62,7 @@ from repro.runtime.checkpoint import atomic_write_bytes
 from repro.serve.cache import EdgeCache
 from repro.serve.policies import ServingPolicy, make_policy
 from repro.serve.report import EDPServingStats, ServingReport
-from repro.serve.stream import RequestStream, make_stream
+from repro.serve.stream import RequestStream, SlotPolicyRng, make_stream
 from repro.testing.faults import active_fault_plan
 
 
@@ -263,10 +263,12 @@ def _replay_edp_stream(
     layout and chunk size funnels through here.  Request blocks come
     from the spec's :class:`~repro.serve.stream.RequestStream` one
     :class:`~repro.serve.stream.RequestChunk` at a time, policy draws
-    come from per-slot generators, and every per-slot accumulation
-    happens in (slot, content) cell order — which is why results are
-    bit-identical across chunk sizes, shard counts, and backends, with
-    one chunk spanning all slots as the equivalence oracle.
+    come from per-slot generators (built on a slot's first draw), and
+    every per-slot float accumulation happens in (slot, content) cell
+    order — which is why results are bit-identical across chunk sizes,
+    shard counts, and backends, with one chunk spanning all slots as
+    the equivalence oracle.  Per cell the loop does O(1) work; the
+    staleness count and the occupancy audit run once per chunk.
 
     Warmup phase: slots below ``stream.warmup_slots`` mutate the cache
     and consume policy draws normally but touch no counters (icarus's
@@ -333,6 +335,13 @@ def _replay_edp_stream(
 
     faults = active_fault_plan()
     n_chunks = stream.n_chunks(chunk_slots)
+    policy_rng = SlotPolicyRng(stream, edp)
+    period_arr = np.asarray(periods, dtype=float)
+    audit_occupancy = telemetry.enabled
+    # Bound once: the cell loop below runs per (slot, content).
+    lookup, fits, has_room = cache.lookup, cache.fits, cache.has_room
+    store, evict = cache.store, cache.evict
+    admit, victim, refresh_due = policy.admit, policy.victim, policy.refresh_due
     for chunk_index in range(start_chunk, n_chunks):
         if faults is not None:
             faults.before_item(
@@ -340,82 +349,96 @@ def _replay_edp_stream(
                 f"serve:{policy.name}:edp{edp}:chunk{chunk_index}",
             )
         chunk = stream.chunk(edp, chunk_index, chunk_slots)
-        offsets = chunk.offsets()
+        counts_mat = chunk.counts
         n_contents = chunk.n_contents
+        rows = counts_mat.tolist()
+        slot_totals = counts_mat.sum(axis=1).tolist()
+        # Age of every measured stale-candidate hit, by (slot, content)
+        # cell; -inf marks cells with nothing to check.  The staleness
+        # count runs once per chunk below, over all requests at once.
+        cell_age = [-math.inf] * (chunk.n_slots * n_contents)
         for local_slot in range(chunk.n_slots):
+            total = slot_totals[local_slot]
+            if not total:
+                continue
             slot = chunk.start_slot + local_slot
             measured = slot >= warmup
             t = (slot + 0.5) * dt
-            counts = chunk.counts[local_slot]
-            nonzero = np.nonzero(counts)[0]
-            if nonzero.size == 0:
-                continue
-            policy_rng = stream.policy_rng(edp, slot)
+            counts = counts_mat[local_slot]
+            rng = policy_rng.at(slot)
             if measured:
-                stats.requests += int(counts.sum())
+                stats.requests += total
                 stats.revenue += float(counts @ revenue_tbl[slot])
-            for k in nonzero:
-                k = int(k)
-                c = int(counts[k])
-                entry = cache.lookup(k)
+            row = rows[local_slot]
+            base = local_slot * n_contents
+            for k in np.flatnonzero(counts).tolist():
+                c = row[k]
+                size = sizes[k]
+                entry = lookup(k)
                 if entry is None:
                     # Miss: served from the cloud, fresh.  One admission
                     # decision per missed batch; victims leave until the
                     # new copy fits.
-                    if cache.fits(sizes[k]) and policy.admit(
-                        slot, k, c, cache, policy_rng
-                    ):
-                        while not cache.has_room(sizes[k]):
-                            cache.evict(policy.victim(slot, cache, policy_rng))
-                        entry = cache.store(k, sizes[k], t)
+                    if fits(size) and admit(slot, k, c, cache, rng):
+                        while not has_room(size):
+                            evict(victim(slot, cache, rng))
+                        entry = store(k, size, t)
                         entry.hits += c - 1
                         if measured:
-                            stats.backhaul_mb += sizes[k]
+                            stats.backhaul_mb += size
                             stats.hits += c - 1
                             stats.latency_s += miss_lat[k] + (c - 1) * hit_lat[k]
                     elif measured:
-                        stats.backhaul_mb += c * sizes[k]
+                        stats.backhaul_mb += c * size
                         stats.latency_s += c * miss_lat[k]
                 else:
                     # Hit: served at the edge; check freshness first.
                     age = t - entry.fetched_at
-                    if age > 0.0 and policy.refresh_due(slot, k, age):
+                    if age > 0.0 and refresh_due(slot, k, age):
                         if measured:
-                            stats.backhaul_mb += sizes[k]
+                            stats.backhaul_mb += size
                             stats.refreshes += 1
                         entry.fetched_at = t
                         age = 0.0
                     if age > 0.0 and measured:
-                        cell = local_slot * n_contents + k
-                        tol = (
-                            (l_max - chunk.timeliness[offsets[cell]:offsets[cell + 1]])
-                            / l_max
-                            * periods[k]
-                        )
-                        stats.staleness_violations += int(
-                            np.count_nonzero(age > tol)
-                        )
+                        cell_age[base + k] = age
                     entry.last_used = t
                     entry.hits += c
                     if measured:
                         stats.hits += c
                         stats.latency_s += c * hit_lat[k]
+        # A request is served stale when its copy's age exceeds its
+        # tolerance (l_max - L) / l_max * update_period.
+        reps = counts_mat.reshape(-1)
+        tol = (
+            (l_max - chunk.timeliness)
+            / l_max
+            * np.repeat(np.tile(period_arr, chunk.n_slots), reps)
+        )
+        stats.staleness_violations += int(
+            np.count_nonzero(np.repeat(cell_age, reps) > tol)
+        )
+        if audit_occupancy:
+            # Invariant check: admission/eviction must never leave the
+            # cache over capacity (a policy bug), and the running total
+            # must match the entries it summarises.  First fault only.
+            held, problem = cache.audit()
+            if problem is not None:
+                audit_occupancy = False
+                telemetry.diag(
+                    "serve.occupancy",
+                    "error",
+                    value=held,
+                    threshold=float(spec.capacity_mb),
+                    message=f"edge cache {problem}",
+                    edp=int(edp),
+                    policy=policy.name,
+                    chunk=chunk_index,
+                )
         if state_path is not None:
             _save_stream_state(
                 state_path, state_key, edp, chunk_index + 1, stats, cache
             )
-    if telemetry.enabled and cache.used_mb > spec.capacity_mb * (1 + 1e-9):
-        # Invariant check: admission/eviction must never leave the
-        # cache over capacity; an overshoot means a policy bug.
-        telemetry.diag(
-            "serve.occupancy",
-            "error",
-            value=float(cache.used_mb),
-            threshold=float(spec.capacity_mb),
-            message="edge cache occupancy exceeds capacity",
-            edp=int(edp),
-            policy=policy.name,
-        )
     return stats
 
 

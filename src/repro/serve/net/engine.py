@@ -64,7 +64,7 @@ from repro.serve.net.strategies import (
     make_strategy,
 )
 from repro.serve.net.topology import CacheNetworkTopology, parse_topology
-from repro.serve.stream import RequestStream
+from repro.serve.stream import RequestStream, SlotPolicyRng
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,21 @@ class NetworkReplaySpec:
             )
 
 
+def _route_capacity_prefix(
+    route: Tuple[int, ...], caches: Dict[int, EdgeCache]
+) -> List[float]:
+    """Cumulative cache capacity along ``route``'s caching routers.
+
+    Entry ``pos`` is the capacity of positions ``1..pos``, added left to
+    right from 0 exactly as a per-hop ``sum`` would, so the
+    ``path_capacity`` a placement site reads is bit-identical.
+    """
+    prefix = [0]
+    for pos in range(1, len(route) - 1):
+        prefix.append(prefix[-1] + caches[route[pos]].capacity_mb)
+    return prefix
+
+
 def _serve_receiver_slot(
     spec: NetworkReplaySpec,
     strategy: PlacementStrategy,
@@ -140,26 +155,30 @@ def _serve_receiver_slot(
     receiver: int,
     slot: int,
     t: float,
-    counts: np.ndarray,
-    policy_rng: np.random.Generator,
+    contents: List[int],
+    counts: List[int],
+    capacity_prefix: List[float],
+    policy_rng: SlotPolicyRng,
     max_depth: int,
     measured: bool = True,
 ) -> None:
     """Serve one receiver's slot batch: probe, account, place.
 
-    The single place network serving semantics live; every backend,
-    shard layout and chunk size funnels through here, which is what
-    makes replays bit-identical by construction.  ``measured``
-    gates every stats counter (warmup slots mutate caches and queues
-    but report nothing).
+    ``contents`` lists the requested content indices in ascending
+    order, ``counts`` is the slot's per-content request row, and
+    ``capacity_prefix`` is :func:`_route_capacity_prefix` of the
+    receiver's route.  The single place network serving semantics
+    live; every backend, shard layout and chunk size funnels through
+    here, which is what makes replays bit-identical by construction.
+    ``measured`` gates every stats counter (warmup slots mutate caches
+    and queues but report nothing).
     """
     topo = spec.topology
     sizes = spec.sizes_mb
     route = topo.routes[receiver]
     route_latency = topo.route_latencies[receiver]
-    for k in np.nonzero(counts)[0]:
-        k = int(k)
-        count = int(counts[k])
+    for k in contents:
+        count = counts[k]
         # Probe hop by hop toward the origin; positions
         # 1..len-2 are caching routers, the last is the source.
         serving_pos = len(route) - 1
@@ -205,10 +224,7 @@ def _serve_receiver_slot(
                 is_edge=(pos == 1),
                 depth=int(topo.depths[node]),
                 max_depth=max_depth,
-                path_capacity=sum(
-                    caches[route[p]].capacity_mb for p in range(1, pos + 1)
-                )
-                / size,
+                path_capacity=capacity_prefix[pos] / size,
                 node_capacity=cache.capacity_mb / size,
             )
             if not strategy.should_place(site, policy_rng):
@@ -238,21 +254,26 @@ def _check_occupancy(
 ) -> None:
     if not telemetry.enabled:
         return
-    over = [
-        node
-        for node, cache in sorted(caches.items())
-        if cache.used_mb > spec.node_capacity_mb * (1 + 1e-9)
-    ]
-    if over:
-        # Invariant check: placement/eviction must never leave a
-        # node cache over capacity; an overshoot is a strategy bug.
+    # Invariant check: placement/eviction must never leave a node cache
+    # over capacity (a strategy bug), and each running total must match
+    # the entries it summarises.
+    faults = []
+    for node, cache in sorted(caches.items()):
+        _, problem = cache.audit()
+        if problem is not None:
+            faults.append((node, problem))
+    if faults:
+        node, problem = faults[0]
         telemetry.diag(
             "net.occupancy",
             "error",
-            value=float(len(over)),
+            value=float(len(faults)),
             threshold=float(spec.node_capacity_mb),
-            message="node cache occupancy exceeds capacity",
-            nodes=over,
+            message=(
+                f"{len(faults)} node caches fail the occupancy check "
+                f"(node {node}: {problem})"
+            ),
+            nodes=[node for node, _ in faults],
             strategy=strategy.name,
         )
 
@@ -290,7 +311,10 @@ def _replay_replica_stream(
     stats.elapsed_t = stream.measured_slots * stream.dt
     max_depth = max(int(topo.depths[v]) for v in topo.routers)
     warmup = stream.warmup_slots
-    lanes = [replica * spec.n_receivers + r for r in range(spec.n_receivers)]
+    receivers = range(spec.n_receivers)
+    lanes = [replica * spec.n_receivers + r for r in receivers]
+    rngs = [SlotPolicyRng(stream, lane) for lane in lanes]
+    prefixes = [_route_capacity_prefix(topo.routes[r], caches) for r in receivers]
     chunk_slots = spec.chunk_slots or stream.n_slots
 
     baseline: Optional[Dict[int, Tuple[int, int, float]]] = None
@@ -298,6 +322,8 @@ def _replay_replica_stream(
         baseline = {int(v): (0, 0, 0.0) for v in topo.routers}
     for index in range(stream.n_chunks(chunk_slots)):
         chunks = [stream.chunk(lane, index, chunk_slots) for lane in lanes]
+        rows = [chunk.counts.tolist() for chunk in chunks]
+        totals = [chunk.counts.sum(axis=1).tolist() for chunk in chunks]
         for local in range(chunks[0].n_slots):
             slot = chunks[0].start_slot + local
             if baseline is None and slot == warmup:
@@ -311,9 +337,8 @@ def _replay_replica_stream(
                 }
             measured = slot >= warmup
             t = (slot + 0.5) * stream.dt
-            for r in range(spec.n_receivers):
-                counts = chunks[r].counts[local]
-                if not counts.any():
+            for r in receivers:
+                if not totals[r][local]:
                     continue
                 _serve_receiver_slot(
                     spec,
@@ -324,8 +349,10 @@ def _replay_replica_stream(
                     r,
                     slot,
                     t,
-                    counts,
-                    stream.policy_rng(lanes[r], slot),
+                    np.flatnonzero(chunks[r].counts[local]).tolist(),
+                    rows[r][local],
+                    prefixes[r],
+                    rngs[r].at(slot),
                     max_depth,
                     measured=measured,
                 )

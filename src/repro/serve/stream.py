@@ -342,10 +342,25 @@ class RequestStream(abc.ABC):
         the flat array groups cell ``(slot, k)``'s requests
         contiguously in content order.
         """
+        return self._draw_slot(edp, slot, self.intensities(slot))
+
+    def _draw_slot(
+        self, edp: int, slot: int, intensities: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         rng = self.request_rng(edp, slot)
-        counts = rng.poisson(self.intensities(slot)).astype(np.int64)
+        counts = rng.poisson(intensities).astype(np.int64)
         total = int(counts.sum())
         return counts, self.timeliness.sample(total, rng)
+
+    def _static_demand(self) -> bool:
+        """Whether every slot has the same intensities: no subclass
+        overrides :meth:`weights_at`, :meth:`rate_multiplier` or
+        :meth:`intensities`."""
+        cls = type(self)
+        return all(
+            getattr(cls, name) is getattr(RequestStream, name)
+            for name in ("weights_at", "rate_multiplier", "intensities")
+        )
 
     def chunk(self, edp: int, index: int, chunk_slots: int) -> RequestChunk:
         """Regenerate chunk ``index`` of EDP ``edp`` in isolation.
@@ -360,10 +375,16 @@ class RequestStream(abc.ABC):
             raise IndexError(f"chunk {index} out of range [0, {n_chunks})")
         start = index * chunk_slots
         stop = min(start + chunk_slots, self.n_slots)
+        # Static demand: one intensity vector serves the whole chunk
+        # (computed here, never memoised on the frozen recipe, whose
+        # pickle keys resume state).
+        static = self.intensities(start) if self._static_demand() else None
         rows: List[np.ndarray] = []
         draws: List[np.ndarray] = []
         for slot in range(start, stop):
-            counts, tl = self.sample_slot(edp, slot)
+            counts, tl = self._draw_slot(
+                edp, slot, self.intensities(slot) if static is None else static
+            )
             rows.append(counts)
             draws.append(tl)
         return RequestChunk(
@@ -394,6 +415,42 @@ class RequestStream(abc.ABC):
         chunk size — the property suite holds this contract.
         """
         return self.chunk(edp, 0, self.n_slots)
+
+
+class SlotPolicyRng:
+    """One lane's policy generator for the current slot, built on first use.
+
+    A replay kernel keeps one per lane and calls :meth:`at` for every
+    slot it serves.  The first draw of the slot (any attribute access,
+    e.g. ``rng.random()``) builds ``stream.policy_rng(lane, slot)`` —
+    the generator an eager build would give, so drawing policies see
+    identical numbers, while policies that never draw (LRU, LFU,
+    most-popular, LCE, LCD, edge-only) never pay for a ``SeedSequence``.
+    """
+
+    __slots__ = ("_stream", "_lane", "_slot", "_rng")
+
+    def __init__(self, stream: "RequestStream", lane: int) -> None:
+        self._stream = stream
+        self._lane = lane
+        self._slot = 0
+        self._rng: Optional[np.random.Generator] = None
+
+    def at(self, slot: int) -> "SlotPolicyRng":
+        """Point at ``slot``'s generator (built on its first draw)."""
+        self._slot = slot
+        self._rng = None
+        return self
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            # Private and protocol lookups (pickle, copy, numpy probes)
+            # are not draws: they must neither build nor recurse.
+            raise AttributeError(name)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._stream.policy_rng(self._lane, self._slot)
+        return getattr(rng, name)
 
 
 @dataclass(frozen=True, kw_only=True)

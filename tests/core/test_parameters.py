@@ -134,6 +134,27 @@ class TestMFGCPConfig:
         with pytest.raises(ValueError):
             replace(MFGCPConfig.fast(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", float("nan")),
+            ("horizon", float("inf")),
+            ("content_size", float("nan")),
+            ("content_size", float("inf")),
+            ("tolerance", float("nan")),
+            ("tolerance", float("inf")),
+            ("eta1", -1.0),
+            ("eta1", float("nan")),
+            ("eta1", float("inf")),
+        ],
+    )
+    def test_non_finite_and_negative_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            replace(MFGCPConfig.fast(), **{field: value})
+
+    def test_zero_eta1_is_valid(self):
+        assert replace(MFGCPConfig.fast(), eta1=0.0).eta1 == 0.0
+
     def test_economic_parameters_flags(self):
         cfg = replace(MFGCPConfig.fast(), include_trading=False)
         assert cfg.economic_parameters().include_trading is False
